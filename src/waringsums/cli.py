@@ -132,18 +132,29 @@ def _infer_scalar(raw: str):
 
 
 def _cached_table(k: int, s: int, N: int, cache_dir: Optional[str]) -> oracle.RepCountTable:
-    if cache_dir:
-        name = f"wrc_k{k}_s{s}_N{N}_unsigned.bin"
-        path = Path(cache_dir) / name
-        if path.exists():
+    if not cache_dir:
+        return oracle.count_representations(k, s, N)
+    path = Path(cache_dir) / f"wrc_k{k}_s{s}_N{N}_unsigned.bin"
+    if path.exists():
+        try:
             table = oracle.read_binary(str(path))
+        except ValueError as exc:
+            print(f"note: cache file {path} is unreadable ({exc}); recomputing",
+                  file=sys.stderr)
+        else:
             if (table.k, table.s, table.N, table.signed) == (k, s, N, False):
                 return table
-        table = oracle.count_representations(k, s, N)
-        Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        oracle.write_binary(table, str(path))
-        return table
-    return oracle.count_representations(k, s, N)
+    table = oracle.count_representations(k, s, N)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # A temporary file renamed into place: readers never see a partial table.
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        oracle.write_binary(table, str(tmp))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return table
 
 
 # ----------------------------- subcommands --------------------------------
@@ -357,10 +368,14 @@ def _selftest_checks(seed: int):
             return "signed mismatch at (k=2, s=2)"
         return None
 
-    def packed_vs_schoolbook():
-        fast = oracle.count_representations(3, 4, 500, method="packed")
-        slow = oracle.count_representations(3, 4, 500, method="schoolbook")
-        return None if fast.counts == slow.counts else "packed != schoolbook"
+    def int64_vs_packed():
+        # (2, 14, 2000) signed reaches 68 bits, so the overflow guard fires
+        for k, s, N, signed in ((3, 4, 500, False), (2, 14, 2000, True)):
+            build = (oracle.count_representations_signed if signed
+                     else oracle.count_representations)
+            if list(build(k, s, N).counts) != oracle._count_packed(k, s, N, signed):
+                return f"int64 != packed at (k={k}, s={s}, N={N}, signed={signed})"
+        return None
 
     return [
         ("bernoulli-recurrence", bernoulli_recurrence),
@@ -370,7 +385,7 @@ def _selftest_checks(seed: int):
         ("batch-vs-direct", batch_vs_direct),
         ("inversion-identities", inversion),
         ("convolution-vs-enumeration", convolution_vs_enumeration),
-        ("packed-vs-schoolbook", packed_vs_schoolbook),
+        ("int64-vs-packed", int64_vs_packed),
     ]
 
 

@@ -1,13 +1,17 @@
 """Exact counting of representations by sums of k-th powers.
 
 Tables are built by iterated convolution of the k-th-power indicator
-sequence, in exact integer arithmetic throughout.  The default engine
-packs each table into one Python big integer with a fixed byte width per
-entry, so a convolution step is a handful of shifted additions; since
-every true entry is a tuple count bounded well below the slot width,
-packed arithmetic is exact positional arithmetic, not an approximation.
-A schoolbook engine and a brute-force enumerator are kept alongside as
-independent routes for verification.
+sequence, in exact integer arithmetic throughout.  Each step is a
+handful of shifted additions of numpy int64 arrays.  Before every step
+an exact run-time guard checks that the largest entry times (w*P + 1)
+stays below 2**63, where P is the number of k-th powers up to N and w
+the weight of each (2 signed, 1 unsigned).  All terms are non-negative,
+so this bounds every partial sum and int64 never wraps.  When the guard
+fails, the remaining steps run on the packed engine, which holds the
+whole table in one Python big integer with a fixed byte width per entry
+(the declared width_bits, an a-priori bound on every count), so counts
+stay exact at any size.  A brute-force enumerator is kept alongside as
+the independent oracle.
 
 Counts are ordered-tuple counts.  The unsigned table counts solutions in
 positive integers; the signed table (even k only) counts solutions in
@@ -17,6 +21,7 @@ all integers, built from the weight 2 per nonzero k-th power plus 1 at 0.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -115,28 +120,36 @@ def _convolve_packed(acc: int, powers: Sequence[int], N: int, wbytes: int,
     return acc & mask
 
 
-def _convolve_schoolbook(prev: Sequence[int], powers: Sequence[int], N: int,
-                         signed: bool) -> List[int]:
-    out = list(prev) if signed else [0] * (N + 1)
-    w = 2 if signed else 1
+def _convolve_int64(acc: np.ndarray, powers: Sequence[int], N: int,
+                    signed: bool) -> np.ndarray:
+    # Exact only while no entry reaches 2**63; _build_table checks that
+    # before every step.
+    shifted = np.zeros_like(acc)
     for yk in powers:
-        for i in range(N + 1 - yk):
-            c = prev[i]
-            if c:
-                out[i + yk] += w * c
-    return out
+        shifted[yk:] += acc[: N + 1 - yk]
+    if signed:
+        shifted *= 2
+        shifted += acc
+    return shifted
 
 
-def _base_sequence(powers: Sequence[int], N: int, signed: bool) -> List[int]:
-    base = [0] * (N + 1)
+def _packed_steps(counts: Sequence[int], powers: Sequence[int], N: int,
+                  steps: int, wbytes: int, signed: bool) -> List[int]:
+    acc = _pack(counts, wbytes)
+    for _ in range(steps):
+        acc = _convolve_packed(acc, powers, N, wbytes, signed)
+    return _unpack(acc, N + 1, wbytes)
+
+
+def _base_sequence(powers: Sequence[int], N: int, signed: bool) -> np.ndarray:
+    base = np.zeros(N + 1, dtype=np.int64)
     if signed:
         base[0] = 1
-    for yk in powers:
-        base[yk] = 2 if signed else 1
+    base[powers] = 2 if signed else 1
     return base
 
 
-def _build_table(k: int, s: int, N: int, signed: bool, method: str) -> RepCountTable:
+def _build_table(k: int, s: int, N: int, signed: bool) -> RepCountTable:
     if s < 1:
         raise ValueError("s must be >= 1")
     if N < 1:
@@ -145,29 +158,35 @@ def _build_table(k: int, s: int, N: int, signed: bool, method: str) -> RepCountT
         raise ValueError("k must be >= 2")
     powers = kth_powers(k, N)
     width_bits = _width_bits_for(k, s, N, signed)
-    if method == "packed":
-        wbytes = width_bits // 8
-        acc = _pack(_base_sequence(powers, N, signed), wbytes)
-        for _ in range(s - 1):
-            acc = _convolve_packed(acc, powers, N, wbytes, signed)
-        counts = _unpack(acc, N + 1, wbytes)
-    elif method == "schoolbook":
-        counts = _base_sequence(powers, N, signed)
-        for _ in range(s - 1):
-            counts = _convolve_schoolbook(counts, powers, N, signed)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    # One step multiplies the largest entry by less than this factor.
+    growth = (2 if signed else 1) * len(powers) + 1
+    acc = _base_sequence(powers, N, signed)
+    steps = s - 1
+    while steps and int(acc.max()) * growth < 2**63:
+        acc = _convolve_int64(acc, powers, N, signed)
+        steps -= 1
+    counts = acc.tolist()
+    if steps:
+        counts = _packed_steps(counts, powers, N, steps, width_bits // 8, signed)
     if max(counts).bit_length() > width_bits:
         raise WidthOverflowError("count exceeds declared entry width")
     return RepCountTable(k, s, N, signed, width_bits, tuple(counts))
 
 
-def count_representations(k: int, s: int, N: int, method: str = "packed") -> RepCountTable:
+def _count_packed(k: int, s: int, N: int, signed: bool = False) -> List[int]:
+    """The counts of _build_table, on the packed engine alone."""
+    powers = kth_powers(k, N)
+    base = _base_sequence(powers, N, signed).tolist()
+    wbytes = _width_bits_for(k, s, N, signed) // 8
+    return _packed_steps(base, powers, N, s - 1, wbytes, signed)
+
+
+def count_representations(k: int, s: int, N: int) -> RepCountTable:
     """counts[n] = #{(x_1..x_s), x_i >= 1 : sum x_i^k = n} for n <= N."""
-    return _build_table(k, s, N, signed=False, method=method)
+    return _build_table(k, s, N, signed=False)
 
 
-def count_representations_signed(k: int, s: int, N: int, method: str = "packed") -> RepCountTable:
+def count_representations_signed(k: int, s: int, N: int) -> RepCountTable:
     """counts[n] = #{(x_1..x_s), x_i in Z : sum x_i^k = n} for n <= N.
 
     Only for even k, where |x_i| <= n^(1/k) holds automatically; for odd
@@ -176,7 +195,7 @@ def count_representations_signed(k: int, s: int, N: int, method: str = "packed")
     """
     if k % 2 != 0:
         raise ValueError("signed counting requires even k")
-    return _build_table(k, s, N, signed=True, method=method)
+    return _build_table(k, s, N, signed=True)
 
 
 def count_by_enumeration(k: int, s: int, N: int, signed: bool = False) -> RepCountTable:
@@ -313,14 +332,26 @@ def write_binary(table: RepCountTable, path: str) -> None:
 
 
 def read_binary(path: str) -> RepCountTable:
+    """Read a table written by write_binary; malformed files raise ValueError."""
     with open(path, "rb") as fh:
-        magic, k, s, N, width_bits, signed = _HEADER.unpack(fh.read(_HEADER.size))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError("truncated count-table header")
+        magic, k, s, N, width_bits, signed = _HEADER.unpack(header)
         if magic != MAGIC:
             raise ValueError(f"not a count-table file: bad magic {magic!r}")
+        if width_bits < MIN_WIDTH_BITS or width_bits % 8:
+            raise ValueError(f"bad entry width {width_bits} bits")
+        if signed not in (0, 1):
+            raise ValueError(f"bad signed flag {signed}")
         wbytes = width_bits // 8
-        raw = fh.read((N + 1) * wbytes)
-    if len(raw) != (N + 1) * wbytes:
-        raise ValueError("truncated count-table file")
+        expected = _HEADER.size + (N + 1) * wbytes
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            kind = "truncated" if size < expected else "trailing bytes in"
+            raise ValueError(f"{kind} count-table file: {size} bytes, "
+                             f"header implies {expected}")
+        raw = fh.read()
     counts = tuple(
         int.from_bytes(raw[i * wbytes : (i + 1) * wbytes], "little")
         for i in range(N + 1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -139,6 +140,36 @@ class TestOracleCommand:
         assert any(p.suffix == ".bin" for p in cache.iterdir())
         _, second = run_to_file(tmp_path, args, "b.csv")
         assert first == second
+
+    def test_corrupt_cache_is_recomputed(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        args = ["oracle", "--k", "2", "--s", "3", "--n-max", "50",
+                "--cache-dir", str(cache)]
+        _, first = run_to_file(tmp_path, args, "a.csv")
+        (cached,) = cache.iterdir()
+        cached.write_bytes(cached.read_bytes()[:-7])
+        code, second = run_to_file(tmp_path, args, "b.csv")
+        assert code == 0
+        assert second == first
+        assert "recomputing" in capsys.readouterr().err
+        # the rewritten file is whole, and no temporary file is left behind
+        assert list(cache.iterdir()) == [cached]
+        assert oracle.read_binary(str(cached)).counts == oracle.count_representations(
+            2, 3, 50).counts
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--k", "2", "--s", "9", "--n-max", "3000"],
+         "db045f2b5bc7eba967a8ab540bbb56703f916dec14fa437a9bf61ab79046bc7e"),
+        (["--k", "2", "--s", "4", "--n-max", "3000", "--signed"],
+         "1e7a4e85564e08296f0b97ca39b1d4a6d732c2383f611bd693cd980f589c12f6"),
+        (["--k", "3", "--s", "13", "--n-max", "3000"],
+         "6573e1eb15e85c1aa5390215d580c6a8fa0928b1d476ebc31d9217633b310d28"),
+    ])
+    def test_golden_output(self, capsys, argv, digest):
+        # sha256 of the output of waringsums 0.1.0, counts and header alike
+        assert cli.run(["oracle", *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestExperimentCommands:

@@ -25,11 +25,10 @@ class TestCountRepresentations:
         enum = oracle.count_by_enumeration(3, 3, 100)
         assert conv.counts == enum.counts
 
-    def test_packed_equals_schoolbook(self):
+    def test_int64_equals_packed(self):
         for k, s, N in ((2, 5, 400), (3, 4, 600), (4, 3, 300)):
-            fast = oracle.count_representations(k, s, N, method="packed")
-            slow = oracle.count_representations(k, s, N, method="schoolbook")
-            assert fast.counts == slow.counts
+            fast = oracle.count_representations(k, s, N)
+            assert list(fast.counts) == oracle._count_packed(k, s, N)
 
     def test_enumeration_equivalence_grid(self):
         for k in (2, 3):
@@ -66,8 +65,6 @@ class TestCountRepresentations:
             oracle.count_representations(2, 0, 10)
         with pytest.raises(ValueError):
             oracle.count_representations(2, 2, 0)
-        with pytest.raises(ValueError):
-            oracle.count_representations(2, 2, 10, method="fft")
 
 
 class TestSignedCounts:
@@ -85,6 +82,37 @@ class TestSignedCounts:
         conv = oracle.count_representations_signed(2, 3, 500)
         enum = oracle.count_by_enumeration(2, 3, 500, signed=True)
         assert conv.counts == enum.counts
+
+    @staticmethod
+    def _spy_on_packed(monkeypatch):
+        calls = []
+        real = oracle._convolve_packed
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_convolve_packed", counting)
+        return calls
+
+    def test_guard_falls_back_to_packed(self, monkeypatch):
+        # the largest count is 68 bits, beyond int64
+        expected = oracle._count_packed(2, 14, 2000, signed=True)
+        calls = self._spy_on_packed(monkeypatch)
+        table = oracle.count_representations_signed(2, 14, 2000)
+        assert calls, "the overflow guard did not fire"
+        assert max(table.counts).bit_length() == 68
+        assert list(table.counts) == expected
+        assert table.width_bits == 128
+        assert oracle.verify_inversion(2, 14, 2000)
+
+    def test_near_boundary_stays_on_int64(self, monkeypatch):
+        # the largest count is 58 bits, and the guard holds at every step
+        calls = self._spy_on_packed(monkeypatch)
+        table = oracle.count_representations_signed(2, 12, 2000)
+        assert not calls
+        assert max(table.counts).bit_length() == 58
+        assert list(table.counts) == oracle._count_packed(2, 12, 2000, signed=True)
 
     def test_rejects_odd_k(self):
         with pytest.raises(ValueError):
@@ -183,6 +211,57 @@ class TestExports:
         assert lines[1] == "n,count"
         assert lines[2] == "0,0"
         assert lines[4] == "2,1"
+
+    @staticmethod
+    def _rewrite(path, **fields):
+        raw = bytearray(path.read_bytes())
+        offsets = {"width": (20, 4), "signed": (24, 1)}
+        for name, value in fields.items():
+            at, size = offsets[name]
+            raw[at : at + size] = value.to_bytes(size, "little")
+        path.write_bytes(bytes(raw))
+
+    @pytest.mark.parametrize("width", [0, 64, 120, 132])
+    def test_bad_width_rejected(self, tmp_path, width):
+        path = tmp_path / "t.bin"
+        oracle.write_binary(oracle.count_representations(2, 2, 7), str(path))
+        self._rewrite(path, width=width)
+        with pytest.raises(ValueError, match="width"):
+            oracle.read_binary(str(path))
+
+    def test_bad_signed_flag_rejected(self, tmp_path):
+        path = tmp_path / "t.bin"
+        oracle.write_binary(oracle.count_representations_signed(2, 2, 7), str(path))
+        self._rewrite(path, signed=7)
+        with pytest.raises(ValueError, match="signed"):
+            oracle.read_binary(str(path))
+
+    def test_zero_width_signed_header_rejected(self, tmp_path):
+        path = tmp_path / "t.bin"
+        path.write_bytes(oracle._HEADER.pack(b"WRC1", 2, 2, 7, 0, 7))
+        with pytest.raises(ValueError):
+            oracle.read_binary(str(path))
+
+    @pytest.mark.parametrize("cut", [1, 16, 40])
+    def test_truncated_file_rejected(self, tmp_path, cut):
+        path = tmp_path / "t.bin"
+        oracle.write_binary(oracle.count_representations(2, 2, 7), str(path))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match="truncated"):
+            oracle.read_binary(str(path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "t.bin"
+        oracle.write_binary(oracle.count_representations(2, 2, 7), str(path))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="trailing"):
+            oracle.read_binary(str(path))
+
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "t.bin"
+        path.write_bytes(b"WRC1" + bytes(10))
+        with pytest.raises(ValueError, match="header"):
+            oracle.read_binary(str(path))
 
     def test_width_overflow_on_export(self, tmp_path):
         bogus = oracle.RepCountTable(2, 2, 1, False, 128, (1, 1 << 200))
