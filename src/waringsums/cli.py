@@ -4,8 +4,8 @@ Every subcommand writes one table, CSV by default (comma separated,
 `.` decimal, `#`-prefixed comment header carrying the tool version and
 the full parameter set) or a JSON mirror behind --json.  Floats are
 printed with 15 significant digits.  Reductions in the library are
-deterministic, so identical configuration gives byte-identical output
-regardless of --threads.
+deterministic, so identical configuration gives byte-identical output.
+A --config file supplies option defaults; flags on the command line win.
 
 Exit codes: 0 success, 2 parameter/usage error, 1 runtime failure.
 """
@@ -17,9 +17,8 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -66,13 +65,6 @@ def _emit(args, meta: dict, columns: Sequence[str], rows: Iterable[Sequence]) ->
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _pool_map(fn: Callable, items: Sequence, threads: int) -> List:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _parse_int_list(text: str) -> List[int]:
     """Accepts '2..5' (inclusive range) or '2,3,4' (comma list)."""
     text = text.strip()
@@ -98,37 +90,28 @@ def _load_config(path: str) -> dict:
     return values
 
 
-def _apply_config(args: argparse.Namespace, argv: Sequence[str]) -> None:
-    if not getattr(args, "config", None):
-        return
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    for key, raw in _load_config(args.config).items():
-        if key in explicit or not hasattr(args, key):
-            continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            value = raw.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
-        elif isinstance(current, str):
-            value = raw
-        else:
-            value = _infer_scalar(raw)
-        setattr(args, key, value)
-
-
-def _infer_scalar(raw: str):
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            pass
-    return raw
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  argv: Sequence[str]) -> argparse.Namespace:
+    """Re-parse argv with the config file's values as the sub-command's
+    defaults, so an option given on the command line, in any spelling,
+    always wins.  Keys must name options the sub-command declares."""
+    if not args.config:
+        return args
+    (subs,) = (a for a in parser._actions if a.dest == "subcommand")
+    sub = subs.choices[args.subcommand]
+    options = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+    values = _load_config(args.config)
+    unknown = sorted(set(values) - set(options))
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(unknown)} in config file "
+                         f"{args.config}; allowed: {', '.join(sorted(options))}")
+    for key, raw in values.items():
+        if options[key].nargs == 0:  # an on/off flag such as --json
+            values[key] = raw.lower() in ("1", "true", "yes", "on")
+    # argparse converts a string default with the option's type when the
+    # option is absent, exactly as if the value had been given on the line.
+    sub.set_defaults(**values)
+    return parser.parse_args(argv)
 
 
 def _cached_table(k: int, s: int, N: int, cache_dir: Optional[str]) -> oracle.RepCountTable:
@@ -253,7 +236,7 @@ def _cmd_em_verify(args) -> int:
         main, psi, scale = eulermac.progression_power_sum_asymptotic(spec, args.variant)
         return [x, direct, main, psi, (direct - main - psi) / scale]
 
-    rows = _pool_map(one, xs, args.threads)
+    rows = [one(x) for x in xs]
     meta = {"subcommand": "em-verify", "k": args.k, "theta": args.theta,
             "q": args.q, "r": args.r, "N": args.N, "variant": args.variant}
     _emit(args, meta, ["X", "direct", "main", "psi", "scaled_error"], rows)
@@ -269,7 +252,7 @@ def _cmd_thm14(args) -> int:
                                                      args.trunc)
         return [Q, n, disc]
 
-    rows = _pool_map(one, qs, args.threads)
+    rows = [one(Q) for Q in qs]
     meta = {"subcommand": "thm14", "k": args.k, "s": args.s, "m": args.m,
             "trunc": args.trunc}
     _emit(args, meta, ["Q", "n", "discrepancy"], rows)
@@ -412,9 +395,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="output path, '-' for stdout (default)")
     sub.add_argument("--json", action="store_true",
                      help="emit a JSON mirror instead of CSV")
-    sub.add_argument("--threads", type=int,
-                     default=int(os.environ.get("WARINGSUMS_THREADS", "1")),
-                     help="worker pool size for independent work items")
     sub.add_argument("--config", default=None,
                      help="key=value file supplying defaults; flags win")
     sub.add_argument("--seed", type=int, default=12345,
@@ -527,12 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        _apply_config(args, argv)
+        args = _apply_config(parser, parser.parse_args(argv), argv)
         return args.handler(args)
+    except SystemExit as exc:  # argparse has printed usage and the error
+        return int(exc.code or 0)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

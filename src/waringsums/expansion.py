@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .arith import log_gamma
-from .series import TruncationSpec, modified_series_truncated, singular_series_truncated
+from .series import TruncationSpec, modified_series_truncated
 
 __all__ = [
     "ExpansionCoefficients",
     "gamma_factor",
+    "series_order",
     "coefficient_prefactors",
     "coefficients_even",
     "coefficients_odd",
@@ -72,9 +73,16 @@ def _reject_integer_ratio_overrun(s: int, J: int, k: int) -> None:
         )
 
 
-def coefficient_prefactors(
-    s: int, J: int, k: int, parity: Literal["even", "odd"]
-) -> list[float]:
+def series_order(k: int, s: int, j: int) -> tuple[int, int]:
+    """(exponent, modification order) of the truncated series behind c_j.
+
+    Even k uses the classical series with exponent s-j; odd k uses the
+    order-j modified series with exponent s.
+    """
+    return (s - j, 0) if k % 2 == 0 else (s, j)
+
+
+def coefficient_prefactors(s: int, J: int, k: int) -> list[float]:
     """Per-order scalar prefactors multiplying the truncated series value.
 
     Order j carries C(s, j) * gamma_factor(s, j, k), with an extra
@@ -83,69 +91,54 @@ def coefficient_prefactors(
     (s, J, k), so callers assembling coefficients elsewhere inherit the
     same guards.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if (k % 2 == 0) != (parity == "even"):
-        raise ValueError(f"k={k} does not match parity={parity!r}")
     if J < 0:
         raise ValueError("J must be >= 0")
     if s - J < 1:
         raise ValueError(f"need s - J >= 1, got s={s}, J={J}")
-    if parity == "odd" and J > k:
+    if k % 2 == 1 and J > k:
         raise ValueError(f"odd-k coefficients need 0 <= J <= k, got J={J}")
     _reject_integer_ratio_overrun(s, J, k)
     out = []
     for j in range(J + 1):
         factor = float(math.comb(s, j)) * gamma_factor(s, j, k)
-        if parity == "even":
+        if k % 2 == 0:
             factor *= (-0.5) ** j
         out.append(factor)
     return out
 
 
-def _validate_point(n: int, Q: int) -> None:
+def _coefficients(s: int, J: int, n: int, k: int, Q: int) -> ExpansionCoefficients:
     if n < 1:
         raise ValueError("n must be >= 1")
     if Q < 1:
         raise ValueError("Q must be >= 1")
+    prefactors = coefficient_prefactors(s, J, k)
+    series_vals = []
+    for j in range(J + 1):
+        exponent, order = series_order(k, s, j)
+        spec = TruncationSpec(k, exponent, n, j=order, Q=Q)
+        series_vals.append(modified_series_truncated(spec).value.real)
+    return ExpansionCoefficients(
+        k, s, J, n, Q, "even" if k % 2 == 0 else "odd",
+        tuple(p * v for p, v in zip(prefactors, series_vals)),
+        tuple(math.comb(s, j) for j in range(J + 1)),
+        tuple(gamma_factor(s, j, k) for j in range(J + 1)),
+        tuple(series_vals),
+    )
 
 
 def coefficients_even(s: int, J: int, n: int, k: int, Q: int) -> ExpansionCoefficients:
     """c_j = (-1/2)^j C(s,j) gamma_factor(s,j,k) * classical series(s-j; n, Q)."""
     if k % 2 != 0:
         raise ValueError("coefficients_even requires even k")
-    _validate_point(n, Q)
-    prefactors = coefficient_prefactors(s, J, k, "even")
-    binomials, gammas, series_vals, coeffs = [], [], [], []
-    for j in range(J + 1):
-        binomials.append(math.comb(s, j))
-        gammas.append(gamma_factor(s, j, k))
-        val = singular_series_truncated(TruncationSpec(k, s - j, n, j=0, Q=Q))
-        series_vals.append(val.value.real)
-        coeffs.append(prefactors[j] * series_vals[-1])
-    return ExpansionCoefficients(
-        k, s, J, n, Q, "even",
-        tuple(coeffs), tuple(binomials), tuple(gammas), tuple(series_vals),
-    )
+    return _coefficients(s, J, n, k, Q)
 
 
 def coefficients_odd(s: int, J: int, n: int, k: int, Q: int) -> ExpansionCoefficients:
     """c_j = C(s,j) gamma_factor(s,j,k) * modified series(s, j; n, Q)."""
     if k % 2 == 0:
         raise ValueError("coefficients_odd requires odd k")
-    _validate_point(n, Q)
-    prefactors = coefficient_prefactors(s, J, k, "odd")
-    binomials, gammas, series_vals, coeffs = [], [], [], []
-    for j in range(J + 1):
-        binomials.append(math.comb(s, j))
-        gammas.append(gamma_factor(s, j, k))
-        val = modified_series_truncated(TruncationSpec(k, s, n, j=j, Q=Q))
-        series_vals.append(val.value.real)
-        coeffs.append(prefactors[j] * series_vals[-1])
-    return ExpansionCoefficients(
-        k, s, J, n, Q, "odd",
-        tuple(coeffs), tuple(binomials), tuple(gammas), tuple(series_vals),
-    )
+    return _coefficients(s, J, n, k, Q)
 
 
 def evaluate_expansion(n: int, coeffs: ExpansionCoefficients) -> float:

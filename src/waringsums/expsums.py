@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -20,15 +20,16 @@ __all__ = [
     "complete_sum",
     "weighted_sum",
     "weighted_sum_augmented",
-    "batch_complete_sum",
     "coprime_residues",
 ]
 
 TWO_PI = 2.0 * math.pi
 
-# Values are memoized per (q, k) because series truncations revisit the
-# same moduli constantly; above this q the arrays are large and reuse is
-# unlikely (tail scans walk q upward once), so caching is bypassed.
+# The per-modulus arrays (residues, coprime indices, S and T rows) are
+# memoized per argument tuple because series truncations revisit the same
+# moduli constantly; above this q the arrays are large and reuse is
+# unlikely (tail scans walk q upward once), so caching is bypassed.  Cached
+# or not, every array is returned read-only, so no caller can corrupt one.
 CACHE_LIMIT = 4096
 
 
@@ -57,8 +58,31 @@ def _validate(q: int, k: int) -> None:
         raise ValueError(f"k must be >= 2, got {k}")
 
 
+def _small_q_cache(fn):
+    """Memoize fn(q, ...) for q <= CACHE_LIMIT; every result is read-only."""
+
+    def frozen(q, *args):
+        out = fn(q, *args)
+        out.flags.writeable = False
+        return out
+
+    cached = lru_cache(maxsize=512)(frozen)
+
+    @wraps(fn)
+    def dispatch(q, *args):
+        return cached(q, *args) if q <= CACHE_LIMIT else frozen(q, *args)
+
+    return dispatch
+
+
+@_small_q_cache
 def power_residues(q: int, k: int) -> np.ndarray:
     """r^k mod q for r = 1..q, as int64, via exact repeated multiply-mod."""
+    # Both factors of res * r are at most q - 1, so the product fits int64
+    # exactly when (q - 1)^2 < 2^63, i.e. q <= 3037000500.  The bound is
+    # compared directly: squaring an int64 q could itself wrap.
+    if q > 3_037_000_500:
+        raise ValueError(f"q = {q} is too large for exact int64 residues")
     r = np.arange(1, q + 1, dtype=np.int64) % q
     res = np.ones(q, dtype=np.int64)
     for _ in range(k):
@@ -66,38 +90,13 @@ def power_residues(q: int, k: int) -> np.ndarray:
     return res
 
 
-@lru_cache(maxsize=512)
-def _power_residues_small(q: int, k: int) -> np.ndarray:
-    res = power_residues(q, k)
-    res.flags.writeable = False
-    return res
-
-
-def _power_residues_cached(q: int, k: int) -> np.ndarray:
-    if q <= CACHE_LIMIT:
-        return _power_residues_small(q, k)
-    return power_residues(q, k)
-
-
+@_small_q_cache
 def coprime_residues(q: int) -> np.ndarray:
     """Indices a mod q with 1 <= a <= q and gcd(a, q) = 1 (q=1 gives [0])."""
     if q == 1:
         return np.array([0], dtype=np.int64)
     a = np.arange(1, q, dtype=np.int64)
     return a[np.gcd(a, q) == 1]
-
-
-@lru_cache(maxsize=512)
-def _coprime_residues_small(q: int) -> np.ndarray:
-    res = coprime_residues(q)
-    res.flags.writeable = False
-    return res
-
-
-def _coprime_residues_cached(q: int) -> np.ndarray:
-    if q <= CACHE_LIMIT:
-        return _coprime_residues_small(q)
-    return coprime_residues(q)
 
 
 def _phases(q: int, exponents: np.ndarray) -> np.ndarray:
@@ -111,7 +110,7 @@ def _fsum_complex(values: np.ndarray) -> complex:
 def complete_sum(q: int, a: int, k: int) -> ExpSumValue:
     """S = sum_{r=1}^{q} e(a r^k / q), e(z) = exp(2 pi i z)."""
     _validate(q, k)
-    residues = (int(a) % q) * _power_residues_cached(q, k) % q
+    residues = (int(a) % q) * power_residues(q, k) % q
     return ExpSumValue(_fsum_complex(_phases(q, residues)), q, a, k)
 
 
@@ -122,7 +121,7 @@ def weighted_sum(q: int, a: int, k: int) -> ExpSumValue:
     weight's sign while fixing the phase, forcing T = -1 - T.
     """
     _validate(q, k)
-    residues = (int(a) % q) * _power_residues_cached(q, k) % q
+    residues = (int(a) % q) * power_residues(q, k) % q
     weights = 0.5 - np.arange(1, q + 1, dtype=np.float64) / q
     return ExpSumValue(_fsum_complex(weights * _phases(q, residues)), q, a, k)
 
@@ -139,20 +138,7 @@ def weighted_sum_augmented(q: int, a: int, k: int) -> ExpSumValue:
     return ExpSumValue(t.value + 0.5, q, a, k)
 
 
-def _residue_histogram(q: int, k: int) -> np.ndarray:
-    return np.bincount(_power_residues_cached(q, k), minlength=q).astype(np.float64)
-
-
-def _batch_values_impl(q: int, k: int) -> np.ndarray:
-    _validate(q, k)
-    out = np.conj(np.fft.fft(_residue_histogram(q, k)))
-    out.flags.writeable = False
-    return out
-
-
-_batch_values_small = lru_cache(maxsize=512)(_batch_values_impl)
-
-
+@_small_q_cache
 def batch_values(q: int, k: int) -> np.ndarray:
     """S(q, a) for all a = 0..q-1 as one complex array.
 
@@ -160,33 +146,15 @@ def batch_values(q: int, k: int) -> np.ndarray:
     c(m) = #{1 <= r <= q : r^k = m mod q}:
     S(q, a) = sum_m c(m) e(a m / q) = conj(FFT(c))[a].
     """
-    if q <= CACHE_LIMIT:
-        return _batch_values_small(q, k)
-    return _batch_values_impl(q, k)
-
-
-def _batch_weighted_impl(q: int, k: int) -> np.ndarray:
     _validate(q, k)
-    r = np.arange(1, q + 1, dtype=np.float64)
-    binned = np.bincount(
-        _power_residues_cached(q, k), weights=0.5 - r / q, minlength=q
-    )
-    out = np.conj(np.fft.fft(binned))
-    out.flags.writeable = False
-    return out
+    histogram = np.bincount(power_residues(q, k), minlength=q).astype(np.float64)
+    return np.conj(np.fft.fft(histogram))
 
 
-_batch_weighted_small = lru_cache(maxsize=512)(_batch_weighted_impl)
-
-
+@_small_q_cache
 def batch_weighted_values(q: int, k: int) -> np.ndarray:
     """T(q, a) for all a = 0..q-1, by binning the weights 1/2 - r/q."""
-    if q <= CACHE_LIMIT:
-        return _batch_weighted_small(q, k)
-    return _batch_weighted_impl(q, k)
-
-
-def batch_complete_sum(q: int, k: int) -> list[ExpSumValue]:
-    """S(q, a) for every a in {0, ..., q-1}."""
-    vals = batch_values(q, k)
-    return [ExpSumValue(complex(v), q, a, k) for a, v in enumerate(vals)]
+    _validate(q, k)
+    r = np.arange(1, q + 1, dtype=np.float64)
+    binned = np.bincount(power_residues(q, k), weights=0.5 - r / q, minlength=q)
+    return np.conj(np.fft.fft(binned))

@@ -294,16 +294,13 @@ def residual_table(
         counts = count_representations(k, s, n_max)
     if counts.N < n_max or counts.k != k or counts.s != s or counts.signed:
         raise ValueError("supplied table does not match the experiment")
-    parity = "even" if k % 2 == 0 else "odd"
-    prefactors = _expansion.coefficient_prefactors(s, J, k, parity)
+    prefactors = _expansion.coefficient_prefactors(s, J, k)
     ns = np.arange(n_min, n_max + 1, dtype=np.int64)
     nf = ns.astype(np.float64)
     term = np.zeros((J + 1, ns.size))
     for j in range(J + 1):
-        if parity == "even":
-            vals = _series.series_over_range(k, s - j, 0, ns, Q).real
-        else:
-            vals = _series.series_over_range(k, s, j, ns, Q).real
+        exponent, order = _expansion.series_order(k, s, j)
+        vals = _series.series_over_range(k, exponent, order, ns, Q).real
         term[j] = prefactors[j] * vals * nf ** ((s - j) / k - 1.0)
     predicted = np.cumsum(term, axis=0)
     records = []

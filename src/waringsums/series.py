@@ -16,16 +16,13 @@ of the coefficient row serves every n.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .expsums import (
-    _coprime_residues_cached,
-    batch_values,
-    batch_weighted_values,
-)
+from .expsums import batch_values, batch_weighted_values, coprime_residues
 
 __all__ = [
     "TruncationSpec",
@@ -41,15 +38,20 @@ __all__ = [
 
 
 def integer_kth_root(n: int, k: int) -> int:
-    """floor(n**(1/k)) for n >= 1, exact."""
+    """floor(n**(1/k)) for n >= 1, exact at any size (integer arithmetic only)."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    r = max(1, int(round(n ** (1.0 / k))))
-    while r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    if k == 2:
+        return math.isqrt(n)
+    # Newton's iteration decreases monotonically from any start above the
+    # root and stops at the floor; 2^ceil(bits/k) is such a start.
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        t = ((k - 1) * r + n // r ** (k - 1)) // k
+        if t >= r:
+            return r
+        r = t
 
 
 @dataclass(frozen=True)
@@ -105,15 +107,14 @@ def _phase_indices(n: int, a: np.ndarray, q: int) -> np.ndarray:
     return (m * a) % q
 
 
-def _row_terms(q: int, k: int, s: int, j: int, n: int) -> np.ndarray:
-    """Terms (S/q)^(s-j) T^j e(-na/q) over coprime a, in increasing a."""
-    a = _coprime_residues_cached(q)
-    sv = batch_values(q, k)[a] / q
-    terms = sv ** (s - j)
+def _coefficient_row(q: int, k: int, s: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coprime residues a mod q, in increasing order, and the coefficient
+    row w(a) = (S(q,a)/q)^(s-j) T(q,a)^j at each of them."""
+    a = coprime_residues(q)
+    w = (batch_values(q, k)[a] / q) ** (s - j)
     if j:
-        terms = terms * batch_weighted_values(q, k)[a] ** j
-    idx = _phase_indices(n, a, q)
-    return terms * np.exp(1j * (2.0 * math.pi * (idx / q)))
+        w = w * batch_weighted_values(q, k)[a] ** j
+    return a, w
 
 
 def modified_series_truncated(spec: TruncationSpec) -> SeriesValue:
@@ -122,7 +123,9 @@ def modified_series_truncated(spec: TruncationSpec) -> SeriesValue:
     term_count = 0
     tail = 0.0
     for q in range(1, spec.Q + 1):
-        terms = _row_terms(q, spec.k, spec.s, spec.j, spec.n)
+        a, w = _coefficient_row(q, spec.k, spec.s, spec.j)
+        idx = _phase_indices(spec.n, a, q)
+        terms = w * np.exp(1j * (2.0 * math.pi * (idx / q)))
         res.append(terms.real)
         ims.append(terms.imag)
         term_count += terms.size
@@ -154,13 +157,9 @@ def series_over_range(
     ns = np.asarray(ns)
     out = np.zeros(ns.shape, dtype=np.complex128)
     for q in range(1, Q + 1):
-        a = _coprime_residues_cached(q)
-        sv = batch_values(q, k)[a] / q
-        w_vals = sv ** (s - j)
-        if j:
-            w_vals = w_vals * batch_weighted_values(q, k)[a] ** j
+        a, w = _coefficient_row(q, k, s, j)
         row = np.zeros(q, dtype=np.complex128)
-        row[a] = w_vals
+        row[a] = w
         g = np.fft.fft(row)  # g[m] = sum_a w(a) e(-ma/q)
         out += g[ns % q]
     return out
@@ -189,7 +188,7 @@ def power_moment_sum(
         raise ValueError("u must be a positive integer")
 
     def row(q: int) -> float:
-        a = _coprime_residues_cached(q)
+        a = coprime_residues(q)
         mags = np.abs(batch_values(q, k)[a]) / q
         return q**theta * float(np.sum(mags**u))
 

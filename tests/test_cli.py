@@ -1,6 +1,9 @@
 import hashlib
+import importlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -59,14 +62,11 @@ class TestExpsumCommand:
         assert len(rows) == 7
         assert rows[0].split(",")[1] == "0"
 
-    def test_determinism_across_runs_and_threads(self, tmp_path):
-        _, first = run_to_file(
-            tmp_path, ["expsum", "--k", "3", "--q", "31", "--threads", "1"], "a.csv"
-        )
-        _, second = run_to_file(
-            tmp_path, ["expsum", "--k", "3", "--q", "31", "--threads", "4"], "b.csv"
-        )
-        assert first == second
+    def test_determinism_across_runs(self, tmp_path):
+        code_a, first = run_to_file(tmp_path, ["expsum", "--k", "3", "--q", "31"], "a.csv")
+        code_b, second = run_to_file(tmp_path, ["expsum", "--k", "3", "--q", "31"], "b.csv")
+        assert code_a == code_b == 0
+        assert first and first == second
 
 
 class TestSeriesCommand:
@@ -118,6 +118,51 @@ class TestExpansionCommand:
         assert rows[2].split(",")[1] == "9"
 
 
+# sha256 of the standard output of waringsums 0.1.0 for the three oracle
+# commands; the others were recorded before the coefficient-row refactor, and
+# any digest change must be explained in CHANGES.md.
+GOLDEN = [
+    ("oracle --k 2 --s 9 --n-max 3000".split(),
+     "db045f2b5bc7eba967a8ab540bbb56703f916dec14fa437a9bf61ab79046bc7e"),
+    ("oracle --k 2 --s 4 --n-max 3000 --signed".split(),
+     "1e7a4e85564e08296f0b97ca39b1d4a6d732c2383f611bd693cd980f589c12f6"),
+    ("oracle --k 3 --s 13 --n-max 3000".split(),
+     "6573e1eb15e85c1aa5390215d580c6a8fa0928b1d476ebc31d9217633b310d28"),
+    ("expsum --k 3 --q 31".split(),
+     "b35f306fb8cb28128d5f57c0314e3589c58711edca25bf75e184bb23e4a79c1b"),
+    ("expsum --k 3 --q 31 --json".split(),
+     "8e03932eb0a3a11aad2d7eb9b663c24267803a22ecb171a6ed8ca51083630ba1"),
+    ("expsum --k 2 --q 4 --a 1".split(),
+     "9a037eab4e2e335abe366bf3fe1f80e9c08306438011df5440b6ac1b937892f4"),
+    ("series --k 3 --s 9 --j 1 --n 123457 --Q 300".split(),
+     "d8b6e271c34050ba0b14c8326ad01d44296ed67da88ca5762fd534c02d4de890"),
+    ("series --k 2 --s 5 --n 25 --Q 50".split(),
+     "9a8d3fed719976b43e1421b905e3ba8e0337db6c2d555bc424ddcdef8a4e9daf"),
+    ("series --k 3 --s 9 --j 0 --n-min 1000 --n-max 1400 --Q 300".split(),
+     "f808d30b6ee6b63bce0ee38f307f9af5494f25e75ec33f485153921dc7326717"),
+    ("series --k 3 --s 13 --j 2 --n-min 500 --n-max 700 --Q 200".split(),
+     "16c16790b7bbe9a40bdea6249f737b9ad53dfcc14a8e307f887c18d5943f5d2e"),
+    ("expansion --k 2 --s 5 --J 1 --n 40000 --Q 300".split(),
+     "79134748a0466e4b60ebb63763426734310f0078ba0df6de740ec443936f0779"),
+    ("expansion --k 3 --s 13 --J 2 --n 77777 --Q 300".split(),
+     "a6709b0e74c0ed3a67e6476f2453b98ec6f853df1545ded9774e985336a1625e"),
+    ("expansion --k 4 --s 17 --J 2 --n 9999 --Q 100".split(),
+     "1788e6ee1ffcf377f0cff0dbb3a50ece7fc4323a06c6276f62527547f20b08e2"),
+    ("residuals --k 3 --s 13 --J 2 --n-min 1000 --n-max 3000 --Q 100".split(),
+     "fa5bf65a3ac27c7c79b01352f3a6fab1fc4d95ee2b759824f04508dc0f404456"),
+    ("residuals --k 2 --s 4 --J 1 --n-min 100 --n-max 2000 --Q 60".split(),
+     "76ff375e74764314ce517ac754c30d6dae3144c8737e73c5e6333206e9287f12"),
+    ("thm14 --k 3 --s 8 --Q 2..5 --trunc 200 --m 3".split(),
+     "d60c84697f156d853010340dba49dee1b17fd14a3598f3af8a968c15801b140f"),
+    ("thm15 --k 3 --s 13 --j 1 --x 300 --Q 50,100".split(),
+     "ea447f41ca0bf2817b090e988cf6e82b6f3eff4ea87563872769ebbf623d9bb4"),
+    ("em-verify --k 2 --theta 1.5 --q 11 --r 3 --X 10000,20000".split(),
+     "52f640839b903e4841f824c255c02d4e3fa3d19d9b62f25286b0cf92c506c022"),
+    ("selftest".split(),
+     "dd907309d1ff62b9e00bac52f07692b97ddc96730b024ed248c0d76dd32f6b06"),
+]
+
+
 class TestOracleCommand:
     def test_counts_and_binary_export(self, tmp_path):
         bin_path = tmp_path / "table.bin"
@@ -157,17 +202,9 @@ class TestOracleCommand:
         assert oracle.read_binary(str(cached)).counts == oracle.count_representations(
             2, 3, 50).counts
 
-    @pytest.mark.parametrize("argv, digest", [
-        (["--k", "2", "--s", "9", "--n-max", "3000"],
-         "db045f2b5bc7eba967a8ab540bbb56703f916dec14fa437a9bf61ab79046bc7e"),
-        (["--k", "2", "--s", "4", "--n-max", "3000", "--signed"],
-         "1e7a4e85564e08296f0b97ca39b1d4a6d732c2383f611bd693cd980f589c12f6"),
-        (["--k", "3", "--s", "13", "--n-max", "3000"],
-         "6573e1eb15e85c1aa5390215d580c6a8fa0928b1d476ebc31d9217633b310d28"),
-    ])
+    @pytest.mark.parametrize("argv, digest", GOLDEN)
     def test_golden_output(self, capsys, argv, digest):
-        # sha256 of the output of waringsums 0.1.0, counts and header alike
-        assert cli.run(["oracle", *argv]) == 0
+        assert cli.run(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
@@ -188,7 +225,7 @@ class TestExperimentCommands:
         code, text = run_to_file(
             tmp_path,
             ["em-verify", "--k", "2", "--theta", "2.5", "--q", "3", "--r", "1",
-             "--N", "2", "--X", "100,200", "--threads", "2"],
+             "--N", "2", "--X", "100,200"],
         )
         assert code == 0
         rows = [l for l in text.splitlines() if not l.startswith("#")]
@@ -240,11 +277,6 @@ class TestOutputModes:
         mantissa = value_field.replace("-", "").replace(".", "").lstrip("0")
         assert len(mantissa.split("e")[0]) == 15
 
-    def test_thread_default_from_environment(self, monkeypatch):
-        monkeypatch.setenv("WARINGSUMS_THREADS", "3")
-        args = cli.build_parser().parse_args(["expsum", "--k", "2", "--q", "3"])
-        assert args.threads == 3
-
     def test_config_file_supplies_defaults_flags_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("q = 9\na = 1\n")
@@ -256,6 +288,19 @@ class TestOutputModes:
         # q from the flag (7) wins; a from the config applies
         assert rows[0].split(",")[0] == "7"
         assert len(rows) == 1 and rows[0].split(",")[1] == "1"
+        # a short flag wins too: -o beats the config's output
+        cfg.write_text(f"output = {tmp_path / 'from_config.csv'}\n")
+        flag = tmp_path / "flag.csv"
+        code = cli.run(["expsum", "--k", "3", "--q", "5", "--a", "1", "-o", str(flag),
+                        "--config", str(cfg)])
+        assert code == 0
+        assert flag.exists() and not (tmp_path / "from_config.csv").exists()
+
+    def test_config_key_must_be_a_declared_option(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("handler = 3\n")
+        assert cli.run(["expsum", "--k", "3", "--q", "5", "--config", str(cfg)]) == 2
+        assert "unknown key(s) handler" in capsys.readouterr().err
 
 
 class TestSelftest:
@@ -267,3 +312,13 @@ class TestSelftest:
         assert all(row.split(",")[1] == "PASS" for row in rows)
         err = capsys.readouterr().err
         assert "# PASS" in err
+
+
+def test_tracer_targets_resolve():
+    # bench/tracer.py wraps these library names; a missing one breaks --trace 1
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, name, *_ in tracer._targets():
+        assert callable(getattr(importlib.import_module(f"waringsums.{module}"), name))

@@ -119,10 +119,9 @@ class TestOddSymmetry:
 
 class TestBatch:
     def test_q_one(self):
-        vals = expsums.batch_complete_sum(1, 2)
-        assert len(vals) == 1
-        assert vals[0].value == pytest.approx(1.0)
-        assert vals[0].a == 0
+        vals = expsums.batch_values(1, 2)
+        assert vals.shape == (1,)
+        assert vals[0] == pytest.approx(1.0)
 
     def test_entry_matches_hand_value(self):
         assert expsums.batch_values(4, 2)[1] == pytest.approx(2 + 2j, abs=1e-12)
@@ -150,6 +149,25 @@ class TestBatch:
                 )
 
     def test_batch_arrays_are_frozen(self):
-        vals = expsums.batch_values(11, 3)
-        with pytest.raises(ValueError):
-            vals[0] = 0.0
+        for q in (11, expsums.CACHE_LIMIT + 1):
+            for vals in (expsums.batch_values(q, 3), expsums.batch_weighted_values(q, 3),
+                         expsums.power_residues(q, 3), expsums.coprime_residues(q)):
+                with pytest.raises(ValueError):
+                    vals[0] = 0
+
+
+class TestPowerResidues:
+    def test_rejects_int64_overflow_before_allocating(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        for name in ("arange", "ones", "empty", "zeros"):
+            monkeypatch.setattr(expsums.np, name, no_allocation)
+        # (q - 1)^2 >= 2^63: res * r could wrap, so q is refused up front
+        for fn in (expsums.power_residues, expsums.batch_values):
+            for q in (3_037_000_501, np.int64(3_037_000_501), 10**30):
+                with pytest.raises(ValueError, match="too large"):
+                    fn(q, 3)
+        # the largest q whose products fit int64 passes the guard
+        with pytest.raises(AssertionError, match="allocated"):
+            expsums.power_residues(3_037_000_500, 3)

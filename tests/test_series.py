@@ -15,6 +15,17 @@ class TestTruncationSpec:
         assert TruncationSpec(3, 8, 27).Q == 3
         assert TruncationSpec(5, 8, 10**10).Q == 100
 
+    def test_integer_root_is_exact_beyond_float_range(self):
+        rng = np.random.default_rng(53)
+        for k in (2, 3, 5):
+            for digits in rng.integers(1, 401, size=40):
+                n = int(rng.integers(1, 10**9)) * 10 ** int(digits) + int(rng.integers(0, 10))
+                r = series.integer_kth_root(n, k)
+                assert r**k <= n < (r + 1) ** k
+        assert series.integer_kth_root(3 * 10**60 + 7, 2) == math.isqrt(3 * 10**60 + 7)
+        Q = TruncationSpec(3, 9, 10**400).Q
+        assert Q**3 <= 10**400 < (Q + 1) ** 3
+
     def test_delta_k(self):
         assert TruncationSpec(2, 5, 10).delta_k == 1
         assert TruncationSpec(3, 5, 10).delta_k == 0
