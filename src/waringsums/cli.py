@@ -397,8 +397,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="emit a JSON mirror instead of CSV")
     sub.add_argument("--config", default=None,
                      help="key=value file supplying defaults; flags win")
-    sub.add_argument("--seed", type=int, default=12345,
-                     help="seed for any sampled checks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,6 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_thm15)
 
     p = subs.add_parser("selftest", help="run the exact-identity suite")
+    p.add_argument("--seed", type=int, default=12345,
+                   help="seed for the sampled checks")
     _add_common(p)
     p.set_defaults(handler=_cmd_selftest)
 

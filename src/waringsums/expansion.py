@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .arith import log_gamma
-from .series import TruncationSpec, modified_series_truncated
+from .series import TruncationSpec, truncated_series
 
 __all__ = [
     "ExpansionCoefficients",
@@ -113,11 +113,9 @@ def _coefficients(s: int, J: int, n: int, k: int, Q: int) -> ExpansionCoefficien
     if Q < 1:
         raise ValueError("Q must be >= 1")
     prefactors = coefficient_prefactors(s, J, k)
-    series_vals = []
-    for j in range(J + 1):
-        exponent, order = series_order(k, s, j)
-        spec = TruncationSpec(k, exponent, n, j=order, Q=Q)
-        series_vals.append(modified_series_truncated(spec).value.real)
+    orders = [series_order(k, s, j) for j in range(J + 1)]
+    values = truncated_series([TruncationSpec(k, u, n, j=o, Q=Q) for u, o in orders])
+    series_vals = [v.value.real for v in values]
     return ExpansionCoefficients(
         k, s, J, n, Q, "even" if k % 2 == 0 else "odd",
         tuple(p * v for p, v in zip(prefactors, series_vals)),

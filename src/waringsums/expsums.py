@@ -5,13 +5,16 @@ integer arithmetic before any trigonometric call, so the phase carries no
 accumulated power error even for moduli near 1e5.  The batch evaluator
 bins residues into a histogram and applies one length-q discrete Fourier
 transform, giving all residues a in O(q log q).
+
+Nothing is memoized, and every array returned is the caller's own: the
+walks in `series` visit each modulus once per evaluation, so no (q, k)
+recurs for a cache to serve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -25,12 +28,9 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# The per-modulus arrays (residues, coprime indices, S and T rows) are
-# memoized per argument tuple because series truncations revisit the same
-# moduli constantly; above this q the arrays are large and reuse is
-# unlikely (tail scans walk q upward once), so caching is bypassed.  Cached
-# or not, every array is returned read-only, so no caller can corrupt one.
-CACHE_LIMIT = 4096
+# The largest modulus with exact int64 residues: both factors of res * r in
+# power_residues are at most q - 1, and (q - 1)^2 < 2^63 exactly up to here.
+MAX_MODULUS = 3_037_000_500
 
 
 @dataclass(frozen=True)
@@ -58,30 +58,10 @@ def _validate(q: int, k: int) -> None:
         raise ValueError(f"k must be >= 2, got {k}")
 
 
-def _small_q_cache(fn):
-    """Memoize fn(q, ...) for q <= CACHE_LIMIT; every result is read-only."""
-
-    def frozen(q, *args):
-        out = fn(q, *args)
-        out.flags.writeable = False
-        return out
-
-    cached = lru_cache(maxsize=512)(frozen)
-
-    @wraps(fn)
-    def dispatch(q, *args):
-        return cached(q, *args) if q <= CACHE_LIMIT else frozen(q, *args)
-
-    return dispatch
-
-
-@_small_q_cache
 def power_residues(q: int, k: int) -> np.ndarray:
     """r^k mod q for r = 1..q, as int64, via exact repeated multiply-mod."""
-    # Both factors of res * r are at most q - 1, so the product fits int64
-    # exactly when (q - 1)^2 < 2^63, i.e. q <= 3037000500.  The bound is
-    # compared directly: squaring an int64 q could itself wrap.
-    if q > 3_037_000_500:
+    # Compared directly: squaring an int64 q could itself wrap.
+    if q > MAX_MODULUS:
         raise ValueError(f"q = {q} is too large for exact int64 residues")
     r = np.arange(1, q + 1, dtype=np.int64) % q
     res = np.ones(q, dtype=np.int64)
@@ -90,7 +70,6 @@ def power_residues(q: int, k: int) -> np.ndarray:
     return res
 
 
-@_small_q_cache
 def coprime_residues(q: int) -> np.ndarray:
     """Indices a mod q with 1 <= a <= q and gcd(a, q) = 1 (q=1 gives [0])."""
     if q == 1:
@@ -138,7 +117,6 @@ def weighted_sum_augmented(q: int, a: int, k: int) -> ExpSumValue:
     return ExpSumValue(t.value + 0.5, q, a, k)
 
 
-@_small_q_cache
 def batch_values(q: int, k: int) -> np.ndarray:
     """S(q, a) for all a = 0..q-1 as one complex array.
 
@@ -151,7 +129,6 @@ def batch_values(q: int, k: int) -> np.ndarray:
     return np.conj(np.fft.fft(histogram))
 
 
-@_small_q_cache
 def batch_weighted_values(q: int, k: int) -> np.ndarray:
     """T(q, a) for all a = 0..q-1, by binning the weights 1/2 - r/q."""
     _validate(q, k)

@@ -92,18 +92,23 @@ def _width_bits_for(k: int, s: int, N: int, signed: bool) -> int:
     return max(MIN_WIDTH_BITS, 8 * ((bound_bits + 7) // 8))
 
 
-def _pack(counts: Sequence[int], wbytes: int) -> int:
+def _encode(counts: Sequence[int], wbytes: int) -> bytearray:
+    """The WRC1 entries, for the packed engine and the file: each count in
+    order as a little-endian unsigned integer of wbytes bytes."""
+    if max(counts, default=0).bit_length() > 8 * wbytes:
+        raise WidthOverflowError("count exceeds declared entry width")
     buf = bytearray(len(counts) * wbytes)
     for i, c in enumerate(counts):
         if c:
             buf[i * wbytes : (i + 1) * wbytes] = int(c).to_bytes(wbytes, "little")
-    return int.from_bytes(bytes(buf), "little")
+    return buf
 
-def _unpack(acc: int, entries: int, wbytes: int) -> List[int]:
-    raw = acc.to_bytes(entries * wbytes, "little")
+
+def _decode(raw: bytes, wbytes: int) -> List[int]:
+    """The counts of an _encode layout."""
     return [
-        int.from_bytes(raw[i * wbytes : (i + 1) * wbytes], "little")
-        for i in range(entries)
+        int.from_bytes(raw[i : i + wbytes], "little")
+        for i in range(0, len(raw), wbytes)
     ]
 
 
@@ -135,10 +140,10 @@ def _convolve_int64(acc: np.ndarray, powers: Sequence[int], N: int,
 
 def _packed_steps(counts: Sequence[int], powers: Sequence[int], N: int,
                   steps: int, wbytes: int, signed: bool) -> List[int]:
-    acc = _pack(counts, wbytes)
+    acc = int.from_bytes(_encode(counts, wbytes), "little")
     for _ in range(steps):
         acc = _convolve_packed(acc, powers, N, wbytes, signed)
-    return _unpack(acc, N + 1, wbytes)
+    return _decode(acc.to_bytes((N + 1) * wbytes, "little"), wbytes)
 
 
 def _base_sequence(powers: Sequence[int], N: int, signed: bool) -> np.ndarray:
@@ -297,11 +302,11 @@ def residual_table(
     prefactors = _expansion.coefficient_prefactors(s, J, k)
     ns = np.arange(n_min, n_max + 1, dtype=np.int64)
     nf = ns.astype(np.float64)
+    orders = [_expansion.series_order(k, s, j) for j in range(J + 1)]
+    vals = _series.series_over_range_orders(k, orders, ns, Q).real
     term = np.zeros((J + 1, ns.size))
     for j in range(J + 1):
-        exponent, order = _expansion.series_order(k, s, j)
-        vals = _series.series_over_range(k, exponent, order, ns, Q).real
-        term[j] = prefactors[j] * vals * nf ** ((s - j) / k - 1.0)
+        term[j] = prefactors[j] * vals[j] * nf ** ((s - j) / k - 1.0)
     predicted = np.cumsum(term, axis=0)
     records = []
     for i, n in enumerate(ns):
@@ -316,16 +321,12 @@ def residual_table(
 def write_binary(table: RepCountTable, path: str) -> None:
     """Flat binary layout: magic, k, s, N, entry width in bits, signed
     flag (header little-endian), then N+1 raw little-endian entries."""
-    wbytes = table.width_bits // 8
+    header = _HEADER.pack(MAGIC, table.k, table.s, table.N, table.width_bits,
+                          1 if table.signed else 0)
+    body = _encode(table.counts, table.width_bits // 8)  # checked before the file opens
     with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(MAGIC, table.k, table.s, table.N, table.width_bits,
-                         1 if table.signed else 0)
-        )
-        for c in table.counts:
-            if c.bit_length() > table.width_bits:
-                raise WidthOverflowError("count exceeds declared entry width")
-            fh.write(int(c).to_bytes(wbytes, "little"))
+        fh.write(header)
+        fh.write(body)
 
 
 def read_binary(path: str) -> RepCountTable:
@@ -349,11 +350,7 @@ def read_binary(path: str) -> RepCountTable:
             raise ValueError(f"{kind} count-table file: {size} bytes, "
                              f"header implies {expected}")
         raw = fh.read()
-    counts = tuple(
-        int.from_bytes(raw[i * wbytes : (i + 1) * wbytes], "little")
-        for i in range(N + 1)
-    )
-    return RepCountTable(k, s, N, bool(signed), width_bits, counts)
+    return RepCountTable(k, s, N, bool(signed), width_bits, tuple(_decode(raw, wbytes)))
 
 
 def write_csv(table: RepCountTable, path: str) -> None:

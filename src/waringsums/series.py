@@ -5,12 +5,13 @@ the modified series swaps j of those factors for the weighted sum T(q,a).
 Both are real up to rounding because the a <-> q-a terms pair into
 conjugates.
 
-Two evaluation paths are provided.  The scalar path accumulates every
-term with exactly-rounded summation (math.fsum) in increasing q, so a
-given truncation always reproduces bit-identical values.  The bulk path
-evaluates one truncation for a whole range of n at once: for each q the
-map n -> partial sum depends only on n mod q, so a single length-q DFT
-of the coefficient row serves every n.
+Both evaluation paths walk the moduli q <= Q once per evaluation and
+build every coefficient row they need from one S row (and one T row if
+some j > 0) per q.  The scalar path takes specs sharing k and Q, forms
+each phase vector e(-na/q) once per distinct n, and sums exactly rounded
+(math.fsum), so a value is bit-identical however specs are grouped.  The
+range path serves a whole range of n: for each q the map n -> partial
+sum depends only on n mod q, so one length-q DFT of each row serves all.
 """
 
 from __future__ import annotations
@@ -18,18 +19,20 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .expsums import batch_values, batch_weighted_values, coprime_residues
+from .expsums import MAX_MODULUS, batch_values, batch_weighted_values, coprime_residues
 
 __all__ = [
     "TruncationSpec",
     "SeriesValue",
+    "truncated_series",
     "singular_series_truncated",
     "modified_series_truncated",
     "series_over_range",
+    "series_over_range_orders",
     "power_moment_sum",
     "negation_identity_residual",
     "factorial_multiple_discrepancy",
@@ -54,6 +57,23 @@ def integer_kth_root(n: int, k: int) -> int:
         r = t
 
 
+def _check_orders(k: int, orders) -> None:
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    for s, j in orders:
+        if s < 1:
+            raise ValueError(f"s must be >= 1, got {s}")
+        if not 0 <= j <= s:
+            raise ValueError(f"need 0 <= j <= s, got j={j}, s={s}")
+
+
+def _check_walk(k: int, orders, Q: int) -> None:
+    """Reject, before any work, a walk over q <= Q that cannot be evaluated."""
+    _check_orders(k, orders)
+    if not 1 <= Q <= MAX_MODULUS:
+        raise ValueError(f"need 1 <= Q <= {MAX_MODULUS}, got Q={Q}")
+
+
 @dataclass(frozen=True)
 class TruncationSpec:
     """Parameters of one truncated series evaluation.
@@ -70,12 +90,7 @@ class TruncationSpec:
     Q: Optional[int] = None
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
-        if self.s < 1:
-            raise ValueError(f"s must be >= 1, got {self.s}")
-        if not 0 <= self.j <= self.s:
-            raise ValueError(f"need 0 <= j <= s, got j={self.j}, s={self.s}")
+        _check_orders(self.k, [(self.s, self.j)])
         if self.Q is None:
             if self.n < 1:
                 raise ValueError("default Q = floor(n^(1/k)) needs n >= 1")
@@ -101,40 +116,43 @@ class SeriesValue:
         return self.value.real
 
 
-def _phase_indices(n: int, a: np.ndarray, q: int) -> np.ndarray:
-    # e(-n a / q) = e(m a / q) with m = (-n) mod q; all index math exact.
-    m = (-int(n)) % q
-    return (m * a) % q
-
-
-def _coefficient_row(q: int, k: int, s: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coprime residues a mod q, in increasing order, and the coefficient
-    row w(a) = (S(q,a)/q)^(s-j) T(q,a)^j at each of them."""
+def _coefficient_rows(q: int, k: int, orders) -> tuple[np.ndarray, dict]:
+    """Coprime residues a mod q, in increasing order, and a dict taking each
+    (s, j) in orders to the row w(a) = (S(q,a)/q)^(s-j) T(q,a)^j."""
     a = coprime_residues(q)
-    w = (batch_values(q, k)[a] / q) ** (s - j)
-    if j:
-        w = w * batch_weighted_values(q, k)[a] ** j
-    return a, w
+    S = batch_values(q, k)[a] / q
+    if any(j for _, j in orders):
+        T = batch_weighted_values(q, k)[a]
+    return a, {(s, j): S ** (s - j) * T**j if j else S ** (s - j) for s, j in orders}
+
+
+def truncated_series(specs: Sequence[TruncationSpec]) -> list[SeriesValue]:
+    """The value of every spec, from one walk over q <= Q; the specs must
+    share k and Q.  Each is sum_{q<=Q} sum_{(a,q)=1} w(a) e(-na/q)."""
+    if len({(spec.k, spec.Q) for spec in specs}) != 1:
+        raise ValueError("need at least one spec, all with the same k and Q")
+    k, Q = specs[0].k, specs[0].Q
+    orders = {(spec.s, spec.j) for spec in specs}
+    _check_walk(k, orders, Q)
+    parts = [[] for _ in specs]
+    for q in range(1, Q + 1):
+        a, rows = _coefficient_rows(q, k, orders)
+        # e(-n a / q) = e(m a / q) with m = (-n) mod q; all index math exact.
+        phase = {n: np.exp(1j * (2.0 * math.pi * (((-int(n) % q) * a) % q / q)))
+                 for n in {spec.n for spec in specs}}
+        for part, spec in zip(parts, specs):
+            part.append(rows[spec.s, spec.j] * phase[spec.n])
+    return [
+        SeriesValue(complex(math.fsum(np.concatenate([t.real for t in part])),
+                            math.fsum(np.concatenate([t.imag for t in part]))),
+                    spec, sum(t.size for t in part), float(np.abs(part[-1]).sum()))
+        for spec, part in zip(specs, parts)
+    ]
 
 
 def modified_series_truncated(spec: TruncationSpec) -> SeriesValue:
     """sum_{q<=Q} sum_{(a,q)=1} (S(q,a)/q)^(s-j) T(q,a)^j e(-na/q)."""
-    res, ims = [], []
-    term_count = 0
-    tail = 0.0
-    for q in range(1, spec.Q + 1):
-        a, w = _coefficient_row(q, spec.k, spec.s, spec.j)
-        idx = _phase_indices(spec.n, a, q)
-        terms = w * np.exp(1j * (2.0 * math.pi * (idx / q)))
-        res.append(terms.real)
-        ims.append(terms.imag)
-        term_count += terms.size
-        if q == spec.Q:
-            tail = float(np.abs(terms).sum())
-    value = complex(
-        math.fsum(np.concatenate(res)), math.fsum(np.concatenate(ims))
-    )
-    return SeriesValue(value, spec, term_count, tail)
+    return truncated_series([spec])[0]
 
 
 def singular_series_truncated(spec: TruncationSpec) -> SeriesValue:
@@ -144,25 +162,30 @@ def singular_series_truncated(spec: TruncationSpec) -> SeriesValue:
     return modified_series_truncated(spec)
 
 
-def series_over_range(
-    k: int, s: int, j: int, ns: np.ndarray, Q: int
-) -> np.ndarray:
-    """Truncated series values for every n in ns, at truncation Q.
+def series_over_range_orders(k: int, orders, ns: np.ndarray, Q: int) -> np.ndarray:
+    """Row i holds the series of orders[i] = (s, j) at every n in ns, at
+    truncation Q, from one walk over q <= Q.
 
-    For each modulus the coefficient row w(a) = (S/q)^(s-j) T^j (zero off
-    the coprime residues) satisfies value_q(n) = DFT(w)[n mod q], so the
-    whole range costs one DFT plus one gather per q.  Rows are applied in
-    increasing q; agreement with the scalar path is at rounding level.
-    """
+    For each modulus the row w (zero off the coprime residues) satisfies
+    value_q(n) = DFT(w)[n mod q], so each order costs one DFT plus one
+    gather per q.  Rows are applied in increasing q; agreement with the
+    scalar path is at rounding level."""
+    _check_walk(k, orders, Q)
     ns = np.asarray(ns)
-    out = np.zeros(ns.shape, dtype=np.complex128)
+    out = np.zeros((len(orders),) + ns.shape, dtype=np.complex128)
     for q in range(1, Q + 1):
-        a, w = _coefficient_row(q, k, s, j)
-        row = np.zeros(q, dtype=np.complex128)
-        row[a] = w
-        g = np.fft.fft(row)  # g[m] = sum_a w(a) e(-ma/q)
-        out += g[ns % q]
+        a, rows = _coefficient_rows(q, k, orders)
+        idx = ns % q
+        for total, order in zip(out, orders):
+            row = np.zeros(q, dtype=np.complex128)
+            row[a] = rows[order]
+            total += np.fft.fft(row)[idx]  # fft(row)[m] = sum_a w(a) e(-ma/q)
     return out
+
+
+def series_over_range(k: int, s: int, j: int, ns: np.ndarray, Q: int) -> np.ndarray:
+    """Truncated series values for every n in ns, at truncation Q."""
+    return series_over_range_orders(k, [(s, j)], ns, Q)[0]
 
 
 def power_moment_sum(
@@ -224,9 +247,11 @@ def negation_identity_residual(s: int, n: int, Q: int, k: int) -> float:
         raise ValueError("identity requires odd k")
     if s < 3:
         raise ValueError("s must be >= 3")
-    m_pos = modified_series_truncated(TruncationSpec(k, s, n, j=1, Q=Q))
-    m_neg = modified_series_truncated(TruncationSpec(k, s, -n, j=1, Q=Q))
-    classical = singular_series_truncated(TruncationSpec(k, s - 1, n, j=0, Q=Q))
+    m_pos, m_neg, classical = truncated_series([
+        TruncationSpec(k, s, n, j=1, Q=Q),
+        TruncationSpec(k, s, -n, j=1, Q=Q),
+        TruncationSpec(k, s - 1, n, j=0, Q=Q),
+    ])
     return abs(m_pos.value + m_neg.value + classical.value)
 
 
@@ -249,8 +274,10 @@ def factorial_multiple_discrepancy(
     n = math.factorial(Q) * m
     for q in range(1, min(Q, Q_trunc) + 1):
         assert n % q == 0, "n must absorb every modulus up to Q"
-    mod = modified_series_truncated(TruncationSpec(k, s, n, j=1, Q=Q_trunc))
-    cla = singular_series_truncated(TruncationSpec(k, s - 1, n, j=0, Q=Q_trunc))
+    mod, cla = truncated_series([
+        TruncationSpec(k, s, n, j=1, Q=Q_trunc),
+        TruncationSpec(k, s - 1, n, j=0, Q=Q_trunc),
+    ])
     return mod.value.real + 0.5 * cla.value.real
 
 

@@ -102,6 +102,24 @@ class TestSeriesCommand:
         assert len(rows) == 5
 
 
+class TestWalkValidation:
+    @pytest.mark.parametrize("argv", [
+        "series --k 3 --s 9 --n-min 1 --n-max 3 --Q 0",
+        "series --k 3 --s 9 --n-min 1 --n-max 3 --Q 3037000501",
+        "series --k 3 --s 9 --j 12 --n-min 1 --n-max 3 --Q 10",
+        "series --k 3 --s 9 --j -1 --n-min 1 --n-max 3 --Q 10",
+        "series --k 1 --s 9 --n-min 1 --n-max 3 --Q 10",
+        "series --k 3 --s 0 --n-min 1 --n-max 3 --Q 10",
+        "thm15 --k 3 --s 13 --j 1 --x 10 --Q 0",
+        "thm15 --k 3 --s 13 --j 1 --x 10 --Q 0 --C 0.4",
+        # the default Q = floor(n^(1/3)) has 134 digits
+        pytest.param(f"series --k 3 --s 9 --n {10**400}", id="series --n 10**400"),
+    ])
+    def test_rejected_before_the_walk(self, capsys, argv):
+        assert cli.run(argv.split()) == 2
+        assert "error" in capsys.readouterr().err
+
+
 class TestExpansionCommand:
     def test_columns_and_values(self, tmp_path):
         code, text = run_to_file(
@@ -119,8 +137,9 @@ class TestExpansionCommand:
 
 
 # sha256 of the standard output of waringsums 0.1.0 for the three oracle
-# commands; the others were recorded before the coefficient-row refactor, and
-# any digest change must be explained in CHANGES.md.
+# commands; the others were recorded before the coefficient-row refactor or
+# before the memo cache was removed, and any digest change must be explained
+# in CHANGES.md.
 GOLDEN = [
     ("oracle --k 2 --s 9 --n-max 3000".split(),
      "db045f2b5bc7eba967a8ab540bbb56703f916dec14fa437a9bf61ab79046bc7e"),
@@ -160,6 +179,15 @@ GOLDEN = [
      "52f640839b903e4841f824c255c02d4e3fa3d19d9b62f25286b0cf92c506c022"),
     ("selftest".split(),
      "dd907309d1ff62b9e00bac52f07692b97ddc96730b024ed248c0d76dd32f6b06"),
+    # Q above 512, where every walk over the moduli revisits none of them
+    ("residuals --k 3 --s 13 --J 2 --n-min 1000 --n-max 1600 --Q 600".split(),
+     "acccd6ed939657fc9191c6c06879d0140716b44815b5a8b36fc4cf1fe2a4476a"),
+    ("expansion --k 3 --s 13 --J 3 --n 77777 --Q 600".split(),
+     "7dea3ca9004f335d038fd32ff6468cae100c11a75fac49538bb5e0a9f1ac77ce"),
+    ("thm14 --k 3 --s 8 --Q 2..4 --trunc 600 --m 3".split(),
+     "7ea3f2c60d810338678ceaad7376793fb4aaf83aa22faf258bceed138ff8489e"),
+    ("thm15 --k 3 --s 13 --j 1 --x 300 --Q 100,600 --C 0.48".split(),
+     "12239cd3571c5fe80df6a881c5934c41b92bb90dd8127bd1f01224433f34d1e6"),
 ]
 
 
@@ -295,6 +323,11 @@ class TestOutputModes:
                         "--config", str(cfg)])
         assert code == 0
         assert flag.exists() and not (tmp_path / "from_config.csv").exists()
+
+    def test_seed_only_on_selftest(self, tmp_path):
+        assert cli.run(["series", "--k", "3", "--s", "9", "--n", "6", "--Q", "5",
+                        "--seed", "4"]) == 2
+        assert cli.run(["selftest", "--seed", "4", "-o", str(tmp_path / "s.csv")]) == 0
 
     def test_config_key_must_be_a_declared_option(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

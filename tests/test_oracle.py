@@ -265,5 +265,7 @@ class TestExports:
 
     def test_width_overflow_on_export(self, tmp_path):
         bogus = oracle.RepCountTable(2, 2, 1, False, 128, (1, 1 << 200))
+        path = tmp_path / "x.bin"
         with pytest.raises(oracle.WidthOverflowError):
-            oracle.write_binary(bogus, str(tmp_path / "x.bin"))
+            oracle.write_binary(bogus, str(path))
+        assert not path.exists()

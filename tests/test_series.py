@@ -154,6 +154,31 @@ class TestSeriesOverRange:
             assert bulk[i] == pytest.approx(scalar, rel=1e-10, abs=1e-10)
 
 
+class TestOneWalk:
+    def test_range_walker_rows_equal_one_order_calls(self):
+        ns = np.arange(-30, 300, dtype=np.int64)
+        for k, orders in ((3, [(13, 0), (13, 1), (13, 2), (9, 1), (13, 1)]),
+                          (2, [(5, 0), (4, 0), (3, 0)])):
+            rows = series.series_over_range_orders(k, orders, ns, 45)
+            assert rows.shape == (len(orders), ns.size)
+            for row, (s, j) in zip(rows, orders):
+                assert np.array_equal(row, series.series_over_range(k, s, j, ns, 45))
+
+    def test_scalar_walker_values_equal_one_spec_calls(self):
+        n = 12345
+        specs = [TruncationSpec(3, 13, n, j=1, Q=60), TruncationSpec(3, 13, -n, j=1, Q=60),
+                 TruncationSpec(3, 12, n, j=0, Q=60), TruncationSpec(3, 13, n, j=3, Q=60),
+                 TruncationSpec(3, 13, n, j=1, Q=60)]
+        for got, spec in zip(series.truncated_series(specs), specs):
+            assert got == series.modified_series_truncated(spec)
+
+    def test_scalar_walker_needs_one_k_and_Q(self):
+        for specs in ([], [TruncationSpec(3, 9, 5, Q=10), TruncationSpec(3, 9, 5, Q=11)],
+                      [TruncationSpec(3, 9, 5, Q=10), TruncationSpec(5, 9, 5, Q=10)]):
+            with pytest.raises(ValueError):
+                series.truncated_series(specs)
+
+
 class TestPowerMomentSum:
     def test_single_modulus(self):
         assert series.power_moment_sum(1, 2, 8, 0.4, 3) == pytest.approx(1.0)
