@@ -74,7 +74,10 @@ def _parse_int_list(text: str) -> List[int]:
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
         return list(range(lo, hi + 1))
-    return [int(t) for t in text.split(",") if t]
+    values = [int(t) for t in text.split(",") if t]
+    if not values:
+        raise ValueError(f"empty list {text!r}")
+    return values
 
 
 def _load_config(path: str) -> dict:
@@ -261,17 +264,12 @@ def _cmd_thm14(args) -> int:
 
 def _cmd_thm15(args) -> int:
     qs = _parse_int_list(args.Q)
-    threshold = args.C
-    if threshold is None:
-        ns = np.arange(1, args.x + 1, dtype=np.int64)
-        mags = np.abs(series.series_over_range(args.k, args.s, args.j, ns, qs[0]))
-        threshold = float(np.median(mags)) / 2.0
+    mags = series.census_magnitudes(args.s, args.j, args.k, args.x, qs)
+    threshold = float(np.median(mags[0])) / 2.0 if args.C is None else args.C
     rows = []
-    for Q in qs:
-        count, fraction = series.nonvanishing_census(
-            args.s, args.j, args.k, args.x, Q, threshold
-        )
-        rows.append([Q, threshold, count, fraction])
+    for Q, m in zip(qs, mags):
+        count = int(np.count_nonzero(m >= threshold))
+        rows.append([Q, threshold, count, count / args.x])
     meta = {"subcommand": "thm15", "k": args.k, "s": args.s, "j": args.j,
             "x": args.x}
     _emit(args, meta, ["Q", "C", "count", "fraction"], rows)

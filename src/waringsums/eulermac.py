@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Tuple, Union
 
+import numpy as np
+
 from .arith import bernoulli_polynomial, log_gamma, periodic_bernoulli
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
 ]
 
 VARIANTS = ("two_sided", "positive")
+_CHUNK = 4096  # lattice points per int64 block in progression_power_sum
 
 
 class QuadratureError(RuntimeError):
@@ -126,7 +129,22 @@ def progression_power_sum(spec: LatticeSumSpec, variant: str = "two_sided") -> f
                 fb = 0.0
             yield fb**theta
 
-    return math.fsum(terms())
+    def int64_terms() -> Iterator[float]:
+        # The same terms: int64 -> float64 rounds correctly, like float(int),
+        # and Python's float ** float is the same libm pow.
+        for h0 in range(hmin, hmax + 1, _CHUNK):
+            x = q * np.arange(h0, min(h0 + _CHUNK, hmax + 1), dtype=np.int64) + r
+            xk = x.copy()
+            for _ in range(k - 1):
+                xk *= x
+            bases = np.maximum(Xk - xk, 0).astype(np.float64).tolist()
+            yield from (fb**theta for fb in bases)
+
+    # Every |x| <= xmax and |qh| <= xmax + |r|, so q, r, qh, x^i, X^k and
+    # X^k - x^k all stay below 2^63 in magnitude when the bound does.
+    xmax = max(abs(q * hmin + r), abs(q * hmax + r))
+    fits = exact_int and max(q, xmax + abs(r), Xk + xmax**k) < 2**63
+    return math.fsum(int64_terms() if fits else terms())
 
 
 def _gamma_ratio(theta: float, k: int, dims: int = 1) -> float:

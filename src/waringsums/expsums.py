@@ -93,6 +93,11 @@ def complete_sum(q: int, a: int, k: int) -> ExpSumValue:
     return ExpSumValue(_fsum_complex(_phases(q, residues)), q, a, k)
 
 
+def _weights(q: int) -> np.ndarray:
+    """The weights 1/2 - r/q of T, for r = 1..q."""
+    return 0.5 - np.arange(1, q + 1, dtype=np.float64) / q
+
+
 def weighted_sum(q: int, a: int, k: int) -> ExpSumValue:
     """T = sum_{r=1}^{q} (1/2 - r/q) e(a r^k / q).
 
@@ -101,8 +106,7 @@ def weighted_sum(q: int, a: int, k: int) -> ExpSumValue:
     """
     _validate(q, k)
     residues = (int(a) % q) * power_residues(q, k) % q
-    weights = 0.5 - np.arange(1, q + 1, dtype=np.float64) / q
-    return ExpSumValue(_fsum_complex(weights * _phases(q, residues)), q, a, k)
+    return ExpSumValue(_fsum_complex(_weights(q) * _phases(q, residues)), q, a, k)
 
 
 def weighted_sum_augmented(q: int, a: int, k: int) -> ExpSumValue:
@@ -117,6 +121,13 @@ def weighted_sum_augmented(q: int, a: int, k: int) -> ExpSumValue:
     return ExpSumValue(t.value + 0.5, q, a, k)
 
 
+def _binned_dft(residues: np.ndarray, q: int, weights=None) -> np.ndarray:
+    """conj(FFT) of the length-q histogram of residues, optionally weighted:
+    sum_r w(r) e(a r^k / q) for every a when residues[r-1] = r^k mod q."""
+    binned = np.bincount(residues, weights=weights, minlength=q).astype(np.float64)
+    return np.conj(np.fft.fft(binned))
+
+
 def batch_values(q: int, k: int) -> np.ndarray:
     """S(q, a) for all a = 0..q-1 as one complex array.
 
@@ -125,13 +136,45 @@ def batch_values(q: int, k: int) -> np.ndarray:
     S(q, a) = sum_m c(m) e(a m / q) = conj(FFT(c))[a].
     """
     _validate(q, k)
-    histogram = np.bincount(power_residues(q, k), minlength=q).astype(np.float64)
-    return np.conj(np.fft.fft(histogram))
+    return _binned_dft(power_residues(q, k), q)
 
 
 def batch_weighted_values(q: int, k: int) -> np.ndarray:
     """T(q, a) for all a = 0..q-1, by binning the weights 1/2 - r/q."""
     _validate(q, k)
-    r = np.arange(1, q + 1, dtype=np.float64)
-    binned = np.bincount(power_residues(q, k), weights=0.5 - r / q, minlength=q)
-    return np.conj(np.fft.fft(binned))
+    return _binned_dft(power_residues(q, k), q, _weights(q))
+
+
+def batch_value_pair(q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(batch_values(q, k), batch_weighted_values(q, k)), bit for bit, from
+    one residue array."""
+    _validate(q, k)
+    residues = power_residues(q, k)
+    return _binned_dft(residues, q), _binned_dft(residues, q, _weights(q))
+
+
+def coset_sums(p: int, k: int) -> np.ndarray:
+    """S(p, c) for one c in each coset of the nonzero k-th powers H mod a
+    prime p, in O(p) time with no DFT.
+
+    The substitution r -> tr gives S(p, a) = S(p, a t^k), so S(p, a)
+    depends only on the coset aH, and there are d = gcd(k, p-1) cosets.
+    Every h in H is hit by exactly d values of r, so
+    S(p, c) = 1 + d sum_{h in H} e(ch/p).  When d = 1, x -> x^k permutes
+    F_p and S(p, a) = sum_x e(ax/p) = 0 exactly, which is returned as the
+    one value.  p must be prime; that is not checked.
+    """
+    _validate(p, k)
+    d = math.gcd(k, p - 1)
+    if d == 1:
+        return np.zeros(1, dtype=np.complex128)
+    powers = np.flatnonzero(np.bincount(power_residues(p, k), minlength=p)[1:]) + 1
+    marked = np.zeros(p, dtype=bool)
+    marked[0] = True
+    values = []
+    for _ in range(d):
+        c = int(np.argmin(marked))  # the least residue in no coset seen yet
+        exponents = c * powers % p
+        marked[exponents] = True
+        values.append(1.0 + d * complex(_phases(p, exponents).sum()))
+    return np.array(values)

@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expsums import MAX_MODULUS, batch_values, batch_weighted_values, coprime_residues
+from .expsums import (MAX_MODULUS, batch_value_pair, batch_values, coprime_residues,
+                      coset_sums)
 
 __all__ = [
     "TruncationSpec",
@@ -36,6 +37,7 @@ __all__ = [
     "power_moment_sum",
     "negation_identity_residual",
     "factorial_multiple_discrepancy",
+    "census_magnitudes",
     "nonvanishing_census",
 ]
 
@@ -120,9 +122,11 @@ def _coefficient_rows(q: int, k: int, orders) -> tuple[np.ndarray, dict]:
     """Coprime residues a mod q, in increasing order, and a dict taking each
     (s, j) in orders to the row w(a) = (S(q,a)/q)^(s-j) T(q,a)^j."""
     a = coprime_residues(q)
-    S = batch_values(q, k)[a] / q
     if any(j for _, j in orders):
-        T = batch_weighted_values(q, k)[a]
+        S, T = batch_value_pair(q, k)
+        S, T = S[a] / q, T[a]
+    else:
+        S = batch_values(q, k)[a] / q
     return a, {(s, j): S ** (s - j) * T**j if j else S ** (s - j) for s, j in orders}
 
 
@@ -162,6 +166,29 @@ def singular_series_truncated(spec: TruncationSpec) -> SeriesValue:
     return modified_series_truncated(spec)
 
 
+def _range_walk(k: int, orders, ns: np.ndarray, Qs: Sequence[int]) -> list[np.ndarray]:
+    """series_over_range_orders at each truncation in Qs, from one walk
+    over q <= max(Qs); the running sum is copied as it passes each Q
+    below the last."""
+    if not Qs:
+        raise ValueError("need at least one truncation Q")
+    for Q in Qs:
+        _check_walk(k, orders, Q)
+    ns = np.asarray(ns)
+    out = np.zeros((len(orders),) + ns.shape, dtype=np.complex128)
+    stops, snapshots, top = set(Qs), {}, max(Qs)
+    for q in range(1, top + 1):
+        a, rows = _coefficient_rows(q, k, orders)
+        idx = ns % q
+        for total, order in zip(out, orders):
+            row = np.zeros(q, dtype=np.complex128)
+            row[a] = rows[order]
+            total += np.fft.fft(row)[idx]  # fft(row)[m] = sum_a w(a) e(-ma/q)
+        if q in stops:
+            snapshots[q] = out.copy() if q < top else out
+    return [snapshots[Q] for Q in Qs]
+
+
 def series_over_range_orders(k: int, orders, ns: np.ndarray, Q: int) -> np.ndarray:
     """Row i holds the series of orders[i] = (s, j) at every n in ns, at
     truncation Q, from one walk over q <= Q.
@@ -170,22 +197,45 @@ def series_over_range_orders(k: int, orders, ns: np.ndarray, Q: int) -> np.ndarr
     value_q(n) = DFT(w)[n mod q], so each order costs one DFT plus one
     gather per q.  Rows are applied in increasing q; agreement with the
     scalar path is at rounding level."""
-    _check_walk(k, orders, Q)
-    ns = np.asarray(ns)
-    out = np.zeros((len(orders),) + ns.shape, dtype=np.complex128)
-    for q in range(1, Q + 1):
-        a, rows = _coefficient_rows(q, k, orders)
-        idx = ns % q
-        for total, order in zip(out, orders):
-            row = np.zeros(q, dtype=np.complex128)
-            row[a] = rows[order]
-            total += np.fft.fft(row)[idx]  # fft(row)[m] = sum_a w(a) e(-ma/q)
-    return out
+    return _range_walk(k, orders, ns, [Q])[0]
 
 
 def series_over_range(k: int, s: int, j: int, ns: np.ndarray, Q: int) -> np.ndarray:
     """Truncated series values for every n in ns, at truncation Q."""
     return series_over_range_orders(k, [(s, j)], ns, Q)[0]
+
+
+def _factorizations(b0: int, b1: int) -> list[list[tuple[int, int]]]:
+    """The pairs (p, e) with p^e exactly dividing q, p increasing, for each
+    q in [b0, b1), by trial division up to sqrt(b1) only, so a narrow
+    window far out costs O(sqrt(b1)) plus O(width) per divisor.  A
+    composite divisor finds its primes already divided out."""
+    rest = list(range(b0, b1))
+    factors = [[] for _ in rest]
+    for p in range(2, math.isqrt(b1 - 1) + 1):
+        for i in range(-b0 % p, len(rest), p):
+            e = 0
+            while rest[i] % p == 0:
+                rest[i] //= p
+                e += 1
+            if e:
+                factors[i].append((p, e))
+    for f, r in zip(factors, rest):
+        if r > 1:
+            f.append((r, 1))
+    return factors
+
+
+def _local_moment(p: int, e: int, k: int, u: int) -> float:
+    """f(p^e) = sum_{(a,p)=1} |S(p^e,a)/p^e|^u.  A prime uses one sum per
+    coset of the k-th powers, each counted (p-1)/d times; a higher power
+    of p uses its full DFT row."""
+    if e == 1:
+        values = coset_sums(p, k)
+        return (p - 1) // values.size * math.fsum(np.abs(values / p) ** u)
+    q = p**e
+    mags = np.abs(batch_values(q, k)[coprime_residues(q)]) / q
+    return math.fsum(mags**u)
 
 
 def power_moment_sum(
@@ -197,6 +247,12 @@ def power_moment_sum(
     rel_tol: float = 1e-12,
 ) -> float:
     """sum over lo <= q < hi of q^theta * sum_{(a,q)=1} |S(q,a)/q|^u.
+
+    The inner sum f(q) is multiplicative in q, so each q is evaluated as
+    the product of f(p^e) over the prime powers p^e exactly dividing it.
+    Those local factors are built once per call: a prime p costs O(p)
+    from the d = gcd(k, p-1) coset sums (f(p) = 0 exactly when d = 1), a
+    higher prime power one DFT row.
 
     hi = math.inf extends the sum in doubling blocks [B, 2B) until a
     block contributes less than rel_tol of the running total; that needs
@@ -210,13 +266,19 @@ def power_moment_sum(
     if u < 1:
         raise ValueError("u must be a positive integer")
 
-    def row(q: int) -> float:
-        a = coprime_residues(q)
-        mags = np.abs(batch_values(q, k)[a]) / q
-        return q**theta * float(np.sum(mags**u))
+    local = {}  # f(p^e), built once per call and shared by every block
+
+    def row(q: int, factors) -> float:
+        f = 1.0
+        for pe in factors:
+            if pe not in local:
+                local[pe] = _local_moment(*pe, k, u)
+            f *= local[pe]
+        return q**theta * f
 
     def block(b0: int, b1: int) -> float:
-        return math.fsum(row(q) for q in range(b0, b1))
+        return math.fsum(row(q, factors) for q, factors in
+                         zip(range(b0, b1), _factorizations(b0, b1)))
 
     if math.isfinite(hi):
         return block(math.ceil(lo), math.ceil(hi))
@@ -281,11 +343,9 @@ def factorial_multiple_discrepancy(
     return mod.value.real + 0.5 * cla.value.real
 
 
-def nonvanishing_census(
-    s: int, j: int, k: int, x: int, Q: int, C: float
-) -> tuple[int, float]:
-    """Count n in [1, x] whose modified-series magnitude at truncation Q
-    is at least C.  Returns (count, count/x)."""
+def census_magnitudes(s: int, j: int, k: int, x: int, Qs: Sequence[int]) -> list[np.ndarray]:
+    """|modified series| at n = 1..x for each truncation in Qs, from one
+    walk over q <= max(Qs)."""
     if j < 0 or x < 1:
         raise ValueError("need j >= 0 and x >= 1")
     if 2 * s < (j + 4) * (k + 2):
@@ -293,6 +353,14 @@ def nonvanishing_census(
             f"requires s >= (j+4)(k+2)/2 = {(j + 4) * (k + 2) / 2}"
         )
     ns = np.arange(1, x + 1, dtype=np.int64)
-    mags = np.abs(series_over_range(k, s, j, ns, Q))
+    return [np.abs(rows[0]) for rows in _range_walk(k, [(s, j)], ns, Qs)]
+
+
+def nonvanishing_census(
+    s: int, j: int, k: int, x: int, Q: int, C: float
+) -> tuple[int, float]:
+    """Count n in [1, x] whose modified-series magnitude at truncation Q
+    is at least C.  Returns (count, count/x)."""
+    mags, = census_magnitudes(s, j, k, x, [Q])
     count = int(np.count_nonzero(mags >= C))
     return count, count / x

@@ -2,15 +2,21 @@
 
 Everything here recomputes values from definitions with plain Python
 loops (or one vectorized gather), deliberately independent of the
-library's FFT/packing fast paths.
+library's FFT/packing fast paths.  The exception is the full-row moment
+reference, which uses one whole `batch_values` DFT row per modulus: the
+path that the multiplicative moment evaluation replaces.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
+
+from waringsums.eulermac import _h_range
+from waringsums.expsums import batch_values
 
 
 def direct_S(q: int, a: int, k: int) -> complex:
@@ -63,6 +69,29 @@ def direct_power_moment(lo: int, hi: int, u: int, theta: float, k: int) -> float
             if math.gcd(a, q) == 1:
                 total += q**theta * abs(direct_S(q, a, k) / q) ** u
     return total
+
+
+def full_row_moment(q: int, k: int, u: int) -> float:
+    """f(q) = sum_{(a,q)=1} |S(q,a)/q|^u from the whole length-q DFT row."""
+    a = np.arange(q, dtype=np.int64)
+    a = a[np.gcd(a, q) == 1] if q > 1 else a
+    return math.fsum((np.abs(batch_values(q, k)[a]) / q) ** u)
+
+
+def full_row_power_moment(lo: int, hi: int, u: int, theta: float, k: int) -> float:
+    """The moment sum over lo <= q < hi with one full DFT row per modulus."""
+    return math.fsum(q**theta * full_row_moment(q, k, u) for q in range(lo, hi))
+
+
+def direct_progression_power_sum(spec, variant: str) -> float:
+    """The one-dimensional lattice sum as a plain loop over Python ints."""
+    hmin, hmax = _h_range(spec, variant)
+    X = Fraction(spec.X)
+    Xk = int(X) ** spec.k if X.denominator == 1 else X**spec.k
+    return math.fsum(
+        max(float(Xk - (spec.q * h + spec.r) ** spec.k), 0.0) ** spec.theta
+        for h in range(hmin, hmax + 1)
+    )
 
 
 def loglog_slope(xs, ys) -> float:

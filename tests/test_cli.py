@@ -112,6 +112,10 @@ class TestWalkValidation:
         "series --k 3 --s 0 --n-min 1 --n-max 3 --Q 10",
         "thm15 --k 3 --s 13 --j 1 --x 10 --Q 0",
         "thm15 --k 3 --s 13 --j 1 --x 10 --Q 0 --C 0.4",
+        "thm15 --k 3 --s 13 --j 1 --x 10 --Q 10,0",
+        "thm15 --k 3 --s 13 --j 1 --x 10 --Q ,",
+        "thm14 --k 3 --s 8 --Q , --trunc 40",
+        "em-verify --k 2 --theta 1.5 --q 11 --r 3 --X ,",
         # the default Q = floor(n^(1/3)) has 134 digits
         pytest.param(f"series --k 3 --s 9 --n {10**400}", id="series --n 10**400"),
     ])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import loglog_slope
+from conftest import direct_progression_power_sum, loglog_slope
 from waringsums import arith, eulermac
 from waringsums.eulermac import LatticeSumSpec
 
@@ -78,6 +78,54 @@ class TestProgressionDirect:
             LatticeSumSpec(1, 1, -3, 0.0, 2)
         with pytest.raises(ValueError):
             LatticeSumSpec(1, 1, 10, -0.5, 2)
+
+
+class TestProgressionInt64Path:
+    @staticmethod
+    def _spy_on_arange(monkeypatch):
+        calls = []
+        arange = np.arange
+        monkeypatch.setattr(eulermac.np, "arange",
+                            lambda *a, **kw: calls.append(a) or arange(*a, **kw))
+        return calls
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("variant", eulermac.VARIANTS)
+    def test_bit_identical_to_python_int_loop(self, monkeypatch, k, variant):
+        calls = self._spy_on_arange(monkeypatch)
+        for q, r, X in ((1, 0, 9000), (11, 3, 20000), (7, -2, 5000), (5, 9, 777), (3, 1, 2)):
+            for theta in (0.0, 1 / 3, 1.5, 2.0, 2.7):
+                spec = LatticeSumSpec(q, r, X, theta, k)
+                got = eulermac.progression_power_sum(spec, variant)
+                assert got.hex() == direct_progression_power_sum(spec, variant).hex()
+        assert calls  # the int64 path ran
+
+    def test_chunk_edges(self, monkeypatch):
+        calls = self._spy_on_arange(monkeypatch)
+        chunk = eulermac._CHUNK
+        for X in (chunk - 1, chunk, 2 * chunk + 5):
+            spec = LatticeSumSpec(1, 0, X, 1.5, 2)
+            for variant, points in (("two_sided", 2 * X + 1), ("positive", X)):
+                calls.clear()
+                assert (eulermac.progression_power_sum(spec, variant).hex()
+                        == direct_progression_power_sum(spec, variant).hex())
+                assert len(calls) == -(-points // chunk)
+
+    @pytest.mark.parametrize("spec", [
+        LatticeSumSpec(7, 3, 10**4, 1.5, 5),           # X^5 > 2^63
+        LatticeSumSpec(3, 1, Fraction(2001, 2), 0.5, 2),
+        LatticeSumSpec(3, 1, 1000.5, 0.5, 2),
+        # X^3 < 2^63, but X^3 - x^3 reaches 2 X^3 > 2^63 at x near -X
+        LatticeSumSpec(100_003, 5, 2_000_000, 1.5, 3),
+        # x is small, but q h is near 10^19 for a residue that far out
+        LatticeSumSpec(10, 3 - 10**19, 1000, 1.5, 2),
+    ])
+    def test_guard_failures_take_the_python_int_loop(self, monkeypatch, spec):
+        calls = self._spy_on_arange(monkeypatch)
+        for variant in eulermac.VARIANTS:
+            got = eulermac.progression_power_sum(spec, variant)
+            assert got.hex() == direct_progression_power_sum(spec, variant).hex()
+        assert calls == []
 
 
 class TestProgressionAsymptotic:

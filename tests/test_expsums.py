@@ -156,6 +156,36 @@ class TestBatch:
             assert np.array_equal(fn(11, 3), expected)
 
 
+    def test_pair_equals_separate_rows_from_one_residue_array(self, monkeypatch):
+        calls = []
+        power_residues = expsums.power_residues
+        monkeypatch.setattr(expsums, "power_residues",
+                            lambda q, k: calls.append(q) or power_residues(q, k))
+        for q, k in ((1, 3), (2, 2), (97, 3), (360, 4), (1001, 5)):
+            S, T = expsums.batch_value_pair(q, k)
+            assert calls[-1:] == [q] and len(calls) == 1
+            assert np.array_equal(S, expsums.batch_values(q, k))
+            assert np.array_equal(T, expsums.batch_weighted_values(q, k))
+            calls.clear()
+
+
+class TestCosetSums:
+    @pytest.mark.parametrize("p,k", [(7, 3), (13, 4), (13, 6), (101, 2), (31, 5), (3, 3)])
+    def test_each_value_is_S_on_its_coset(self, p, k):
+        row = expsums.batch_values(p, k)
+        values = expsums.coset_sums(p, k)
+        d = math.gcd(k, p - 1)
+        assert values.size == d
+        # S(p, a) is constant on each of the d cosets, and coset_sums gives
+        # one value per coset: every nonzero a matches exactly one of them
+        matches = np.abs(row[1:, None] - values[None, :]) <= 1e-9 * p
+        if d > 1:
+            assert np.all(matches.sum(axis=1) >= 1)
+            assert all(np.count_nonzero(matches[:, i]) >= (p - 1) // d for i in range(d))
+        else:
+            assert values[0] == 0.0 and np.all(matches)
+
+
 class TestPowerResidues:
     def test_rejects_int64_overflow_before_allocating(self, monkeypatch):
         def no_allocation(*args, **kwargs):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import direct_modified_series, direct_power_moment, loglog_slope, totient_sum
-from waringsums import series
+from conftest import (direct_modified_series, direct_power_moment, full_row_moment,
+                      full_row_power_moment, loglog_slope, totient_sum)
+from waringsums import expsums, series
 from waringsums.series import TruncationSpec
 
 
@@ -172,6 +173,35 @@ class TestOneWalk:
         for got, spec in zip(series.truncated_series(specs), specs):
             assert got == series.modified_series_truncated(spec)
 
+    def test_j_walk_builds_residues_once_per_modulus(self, monkeypatch):
+        calls = []
+        power_residues = expsums.power_residues
+        monkeypatch.setattr(expsums, "power_residues",
+                            lambda q, k: calls.append(q) or power_residues(q, k))
+        series.modified_series_truncated(TruncationSpec(3, 13, 77, j=1, Q=40))
+        series.series_over_range_orders(3, [(13, 0), (13, 2)], np.arange(5), 40)
+        assert calls == 2 * list(range(1, 41))
+
+    def test_census_at_several_truncations_is_one_walk(self, monkeypatch):
+        Qs = [30, 12, 30, 45]
+        singles = [np.abs(series.series_over_range(3, 13, 1, np.arange(1, 201), Q))
+                   for Q in Qs]
+        walked = []
+        rows = series._coefficient_rows
+        monkeypatch.setattr(series, "_coefficient_rows",
+                            lambda q, *a: walked.append(q) or rows(q, *a))
+        mags = series.census_magnitudes(13, 1, 3, 200, Qs)
+        assert walked == list(range(1, 46))
+        for got, want in zip(mags, singles):
+            assert np.array_equal(got, want)
+        count, fraction = series.nonvanishing_census(13, 1, 3, 200, 12, 0.3)
+        assert count == int(np.count_nonzero(singles[1] >= 0.3))
+        assert fraction == count / 200
+
+    def test_empty_truncation_lists_are_refused(self):
+        with pytest.raises(ValueError, match="at least one"):
+            series.census_magnitudes(13, 1, 3, 20, [])
+
     def test_scalar_walker_needs_one_k_and_Q(self):
         for specs in ([], [TruncationSpec(3, 9, 5, Q=10), TruncationSpec(3, 9, 5, Q=11)],
                       [TruncationSpec(3, 9, 5, Q=10), TruncationSpec(5, 9, 5, Q=10)]):
@@ -213,6 +243,60 @@ class TestPowerMomentSum:
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             series.power_moment_sum(5, 3, 8, 0.0, 2)
+
+
+class TestMomentFactors:
+    def test_moment_rows_are_multiplicative(self):
+        rng = np.random.default_rng(61)
+        pairs = 0
+        while pairs < 40:
+            q1, q2 = (int(q) for q in rng.integers(2, 200, size=2))
+            if math.gcd(q1, q2) != 1:
+                continue
+            k, u = int(rng.integers(2, 7)), int(rng.choice([4, 6, 8]))
+            whole = full_row_moment(q1 * q2, k, u)
+            parts = full_row_moment(q1, k, u) * full_row_moment(q2, k, u)
+            # f is 0 up to rounding when a factor is, so a tiny absolute slack
+            assert math.isclose(whole, parts, rel_tol=1e-12, abs_tol=1e-30)
+            pairs += 1
+
+    @pytest.mark.parametrize("p,k", [
+        (2, 2), (3, 3), (2, 4), (3, 6), (2, 6), (5, 5),         # p divides k
+        (5, 3), (11, 3), (1013, 3), (3, 5), (7, 5),             # d = 1
+        (7, 3), (997, 3), (13, 4), (1009, 4), (11, 5), (1021, 5),
+        (13, 6), (1009, 6), (3, 2), (1019, 2),                  # d = k
+        (7, 4), (5, 6), (11, 6),                                # 1 < d < k
+    ])
+    def test_prime_factor_from_cosets(self, p, k):
+        d = math.gcd(k, p - 1)
+        assert expsums.coset_sums(p, k).size == d
+        for u in (4, 8):
+            got = series._local_moment(p, 1, k, u)
+            if d == 1:
+                assert got == 0.0
+            else:
+                assert got == pytest.approx(full_row_moment(p, k, u), rel=1e-12)
+
+    @pytest.mark.parametrize("lo,hi,u,theta,k", [
+        (1, 400, 8, 0.5, 3),
+        (1000, 1100, 6, 0.0, 2),   # 1024, 1029 = 3 * 7^3, 1089 = 33^2
+        (2030, 2060, 10, 1.0, 4),  # 2048 = 2^11, 2057 = 11^2 * 17
+        (1, 300, 12, 1.0, 5),
+        (100, 400, 8, 0.3, 6),
+        (10**5, 10**5 + 40, 8, 0.0, 2),
+        (2 * 10**4, 2 * 10**4 + 40, 9, 0.5, 3),
+    ])
+    def test_power_moment_sum_against_full_rows(self, lo, hi, u, theta, k):
+        assert series.power_moment_sum(lo, hi, u, theta, k) == pytest.approx(
+            full_row_power_moment(lo, hi, u, theta, k), rel=1e-12)
+
+    @pytest.mark.parametrize("b0,b1", [(1, 2), (2, 3), (1, 500), (4090, 4100), (10**6, 10**6 + 50)])
+    def test_factorizations(self, b0, b1):
+        for q, factors in zip(range(b0, b1), series._factorizations(b0, b1)):
+            ps = [p for p, _ in factors]
+            assert ps == sorted(set(ps)) and all(e >= 1 for _, e in factors)
+            assert all(all(p % d for d in range(2, math.isqrt(p) + 1)) for p in ps)
+            assert math.prod(p**e for p, e in factors) == q
 
 
 class TestNegationIdentity:
