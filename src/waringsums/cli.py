@@ -1,10 +1,10 @@
 """Command-line front end: experiment orchestration and CSV/JSON output.
 
-Every subcommand writes one table, CSV by default (comma separated,
-`.` decimal, `#`-prefixed comment header carrying the tool version and
-the full parameter set) or a JSON mirror behind --json.  Floats are
-printed with 15 significant digits.  Reductions in the library are
-deterministic, so identical configuration gives byte-identical output.
+Every subcommand passes its table, column by column, to one emitter:
+CSV by default (comma separated, `.` decimal, `#`-prefixed comment
+header carrying the tool version and the full parameter set) or a JSON
+mirror behind --json.  Floats print with 15 significant digits, -0 as 0.
+Reductions are deterministic: identical configuration, identical bytes.
 A --config file supplies option defaults; flags on the command line win.
 
 Exit codes: 0 success, 2 parameter/usage error, 1 runtime failure.
@@ -13,12 +13,13 @@ Exit codes: 0 success, 2 parameter/usage error, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,43 +27,46 @@ from . import __version__, arith, eulermac, expansion, expsums, oracle, series
 
 __all__ = ["build_parser", "run", "main"]
 
+ROWS_PER_WRITE = 4096  # CSV rows formatted per write, which bounds the emitter's memory
+
 
 # ----------------------------- plumbing -----------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        if value == 0.0:
-            value = 0.0  # normalize negative zero
-        return f"{value:.15g}"
-    return str(value)
+def _column(values) -> Tuple[List[str], Sequence]:
+    """A column's CSV cells, and its values as a float64 array when they
+    are floats, else as a list.  Floats print with 15 significant digits
+    and -0 as 0; anything else prints by str."""
+    if isinstance(values, np.ndarray):
+        values = values if values.dtype.kind == "f" else values.tolist()
+    elif all(isinstance(v, float) for v in values):
+        values = np.array(values, dtype=np.float64)
+    if isinstance(values, np.ndarray):
+        return list(map("{:.15g}".format, (values + 0.0).tolist())), values
+    values = list(values)
+    return list(map(str, values)), values
 
 
-def _emit(args, meta: dict, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    rows = [list(r) for r in rows]
-    if getattr(args, "json", False):
-        payload = {
-            "tool": "waringsums",
-            "version": __version__,
-            "meta": {k: meta[k] for k in sorted(meta)},
-            "columns": list(columns),
-            "rows": [[(v if not isinstance(v, float) else float(_fmt(v))) for v in r]
-                     for r in rows],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = [f"# waringsums {__version__}"]
-        lines.append("# " + " ".join(f"{k}={_fmt(meta[k])}" for k in sorted(meta)))
-        lines.append(",".join(columns))
-        for r in rows:
-            lines.append(",".join(_fmt(v) for v in r))
-        text = "\n".join(lines) + "\n"
+def _emit(args, meta: dict, columns: Dict[str, Sequence]) -> None:
+    """Write one table, given column by column, as CSV or its JSON mirror.
+    CSV rows are formatted and written ROWS_PER_WRITE at a time."""
     out = getattr(args, "output", "-")
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+    with (contextlib.nullcontext(sys.stdout) if out in (None, "-")
+          else open(out, "w", encoding="utf-8")) as fh:
+        if getattr(args, "json", False):
+            # a float is written as the value its CSV text reads back as
+            values = [list(map(float, text)) if isinstance(v, np.ndarray) else v
+                      for text, v in map(_column, columns.values())]
+            payload = {"tool": "waringsums", "version": __version__, "meta": meta,
+                       "columns": list(columns), "rows": list(zip(*values))}
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        else:
+            settings = (f"{k}={_column([int(v) if isinstance(v, bool) else v])[0][0]}"
+                        for k, v in sorted(meta.items()))
+            fh.write(f"# waringsums {__version__}\n# {' '.join(settings)}\n"
+                     f"{','.join(columns)}\n")
+            for lo in range(0, len(next(iter(columns.values()))), ROWS_PER_WRITE):
+                cells = [_column(v[lo : lo + ROWS_PER_WRITE])[0] for v in columns.values()]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _parse_int_list(text: str) -> List[int]:
@@ -147,19 +151,16 @@ def _cached_table(k: int, s: int, N: int, cache_dir: Optional[str]) -> oracle.Re
 
 def _cmd_expsum(args) -> int:
     meta = {"subcommand": "expsum", "k": args.k, "q": args.q, "a": args.a}
-    columns = ["q", "a", "S_re", "S_im", "T_re", "T_im"]
     if args.a is not None:
-        sv = expsums.complete_sum(args.q, args.a, args.k)
-        tv = expsums.weighted_sum(args.q, args.a, args.k)
-        rows = [[args.q, args.a, sv.real, sv.imag, tv.real, tv.imag]]
+        a = [args.a]
+        svals = np.array([expsums.complete_sum(args.q, args.a, args.k).value])
+        tvals = np.array([expsums.weighted_sum(args.q, args.a, args.k).value])
     else:
+        a = np.arange(args.q)
         svals = expsums.batch_values(args.q, args.k)
         tvals = expsums.batch_weighted_values(args.q, args.k)
-        rows = [
-            [args.q, a, svals[a].real, svals[a].imag, tvals[a].real, tvals[a].imag]
-            for a in range(args.q)
-        ]
-    _emit(args, meta, columns, rows)
+    _emit(args, meta, {"q": [args.q] * len(a), "a": a, "S_re": svals.real,
+                       "S_im": svals.imag, "T_re": tvals.real, "T_im": tvals.imag})
     return 0
 
 
@@ -170,17 +171,16 @@ def _cmd_series(args) -> int:
         spec = series.TruncationSpec(args.k, args.s, args.n, j=args.j, Q=args.Q)
         val = series.modified_series_truncated(spec)
         meta["Q"] = spec.Q
-        _emit(args, meta, ["n", "value_re", "value_im", "term_count", "tail_estimate"],
-              [[args.n, val.value.real, val.value.imag, val.term_count,
-                val.tail_estimate]])
+        _emit(args, meta, {"n": [args.n], "value_re": [val.value.real],
+                           "value_im": [val.value.imag], "term_count": [val.term_count],
+                           "tail_estimate": [val.tail_estimate]})
         return 0
     if args.n_min is None or args.n_max is None or args.Q is None:
         raise ValueError("range mode needs --n-min, --n-max and --Q")
     ns = np.arange(args.n_min, args.n_max + 1, dtype=np.int64)
     vals = series.series_over_range(args.k, args.s, args.j, ns, args.Q)
     meta.update(n_min=args.n_min, n_max=args.n_max)
-    _emit(args, meta, ["n", "value_re", "value_im"],
-          [[int(n), v.real, v.imag] for n, v in zip(ns, vals)])
+    _emit(args, meta, {"n": ns, "value_re": vals.real, "value_im": vals.imag})
     return 0
 
 
@@ -191,12 +191,9 @@ def _cmd_expansion(args) -> int:
         coeffs = expansion.coefficients_odd(args.s, args.J, args.n, args.k, args.Q)
     meta = {"subcommand": "expansion", "k": args.k, "s": args.s, "J": args.J,
             "n": args.n, "Q": args.Q, "parity": coeffs.parity}
-    rows = [
-        [j, coeffs.binomials[j], coeffs.gamma_factors[j], coeffs.series_values[j],
-         coeffs.coefficients[j]]
-        for j in range(args.J + 1)
-    ]
-    _emit(args, meta, ["j", "binomial", "gamma_factor", "series_value", "c_j"], rows)
+    _emit(args, meta, {"j": range(args.J + 1), "binomial": coeffs.binomials,
+                       "gamma_factor": coeffs.gamma_factors,
+                       "series_value": coeffs.series_values, "c_j": coeffs.coefficients})
     return 0
 
 
@@ -209,24 +206,21 @@ def _cmd_oracle(args) -> int:
         oracle.write_binary(table, args.binary_out)
     meta = {"subcommand": "oracle", "k": args.k, "s": args.s, "n_max": args.n_max,
             "signed": args.signed, "width_bits": table.width_bits}
-    _emit(args, meta, ["n", "count"],
-          [[n, c] for n, c in enumerate(table.counts)])
+    _emit(args, meta, {"n": np.arange(table.N + 1), "count": table.counts})
     return 0
 
 
 def _cmd_residuals(args) -> int:
     table = _cached_table(args.k, args.s, args.n_max, args.cache_dir)
-    records = oracle.residual_table(
+    res = oracle.residual_table(
         args.k, args.s, args.J, args.n_min, args.n_max, args.Q, counts=table
     )
     meta = {"subcommand": "residuals", "k": args.k, "s": args.s, "J": args.J,
             "n_min": args.n_min, "n_max": args.n_max, "Q": args.Q}
-    columns = (["n", "exact"] + [f"pred{j}" for j in range(args.J + 1)]
-               + [f"E{j}" for j in range(args.J + 1)])
-    rows = [
-        [rec.n, rec.exact, *rec.predicted, *rec.residuals] for rec in records
-    ]
-    _emit(args, meta, columns, rows)
+    orders = range(args.J + 1)
+    _emit(args, meta, {"n": res.ns, "exact": res.exact,
+                       **{f"pred{j}": res.predicted[j] for j in orders},
+                       **{f"E{j}": res.residuals[j] for j in orders}})
     return 0
 
 
@@ -237,28 +231,24 @@ def _cmd_em_verify(args) -> int:
         spec = eulermac.LatticeSumSpec(args.q, args.r, x, args.theta, args.k, args.N)
         direct = eulermac.progression_power_sum(spec, args.variant)
         main, psi, scale = eulermac.progression_power_sum_asymptotic(spec, args.variant)
-        return [x, direct, main, psi, (direct - main - psi) / scale]
+        return direct, main, psi, (direct - main - psi) / scale
 
-    rows = [one(x) for x in xs]
+    direct, main, psi, error = zip(*map(one, xs))
     meta = {"subcommand": "em-verify", "k": args.k, "theta": args.theta,
             "q": args.q, "r": args.r, "N": args.N, "variant": args.variant}
-    _emit(args, meta, ["X", "direct", "main", "psi", "scaled_error"], rows)
+    _emit(args, meta, {"X": xs, "direct": direct, "main": main, "psi": psi,
+                       "scaled_error": error})
     return 0
 
 
 def _cmd_thm14(args) -> int:
     qs = _parse_int_list(args.Q)
-
-    def one(Q: int):
-        n = math.factorial(Q) * args.m
-        disc = series.factorial_multiple_discrepancy(args.s, args.k, Q, args.m,
-                                                     args.trunc)
-        return [Q, n, disc]
-
-    rows = [one(Q) for Q in qs]
+    ns = [math.factorial(Q) * args.m for Q in qs]
+    disc = [series.factorial_multiple_discrepancy(args.s, args.k, Q, args.m, args.trunc)
+            for Q in qs]
     meta = {"subcommand": "thm14", "k": args.k, "s": args.s, "m": args.m,
             "trunc": args.trunc}
-    _emit(args, meta, ["Q", "n", "discrepancy"], rows)
+    _emit(args, meta, {"Q": qs, "n": ns, "discrepancy": disc})
     return 0
 
 
@@ -266,13 +256,11 @@ def _cmd_thm15(args) -> int:
     qs = _parse_int_list(args.Q)
     mags = series.census_magnitudes(args.s, args.j, args.k, args.x, qs)
     threshold = float(np.median(mags[0])) / 2.0 if args.C is None else args.C
-    rows = []
-    for Q, m in zip(qs, mags):
-        count = int(np.count_nonzero(m >= threshold))
-        rows.append([Q, threshold, count, count / args.x])
+    counts = [int(np.count_nonzero(m >= threshold)) for m in mags]
     meta = {"subcommand": "thm15", "k": args.k, "s": args.s, "j": args.j,
             "x": args.x}
-    _emit(args, meta, ["Q", "C", "count", "fraction"], rows)
+    _emit(args, meta, {"Q": qs, "C": [threshold] * len(qs), "count": counts,
+                       "fraction": [c / args.x for c in counts]})
     return 0
 
 
@@ -371,19 +359,18 @@ def _selftest_checks(seed: int):
 
 
 def _cmd_selftest(args) -> int:
-    rows = []
-    failed = 0
+    names, statuses, details = [], [], []
     for name, check in _selftest_checks(args.seed):
         detail = check()
         status = "PASS" if detail is None else "FAIL"
-        if detail is not None:
-            failed += 1
         print(f"# {status} {name}" + (f" ({detail})" if detail else ""),
               file=sys.stderr)
-        rows.append([name, status, detail or ""])
-    meta = {"subcommand": "selftest", "seed": args.seed, "failed": failed}
-    _emit(args, meta, ["check", "status", "detail"], rows)
-    return 0 if failed == 0 else 1
+        names.append(name)
+        statuses.append(status)
+        details.append(detail or "")
+    meta = {"subcommand": "selftest", "seed": args.seed, "failed": statuses.count("FAIL")}
+    _emit(args, meta, {"check": names, "status": statuses, "detail": details})
+    return 0 if meta["failed"] == 0 else 1
 
 
 # ----------------------------- parser --------------------------------------

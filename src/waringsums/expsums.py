@@ -71,11 +71,17 @@ def power_residues(q: int, k: int) -> np.ndarray:
 
 
 def coprime_residues(q: int) -> np.ndarray:
-    """Indices a mod q with 1 <= a <= q and gcd(a, q) = 1 (q=1 gives [0])."""
+    """Indices a mod q with 1 <= a <= q and gcd(a, q) = 1 (q=1 gives [0]),
+    by sieving out the multiples of every divisor d <= sqrt(q) of q and of
+    q/d, which between them include every prime factor of q."""
     if q == 1:
         return np.array([0], dtype=np.int64)
-    a = np.arange(1, q, dtype=np.int64)
-    return a[np.gcd(a, q) == 1]
+    keep = np.ones(q, dtype=bool)
+    keep[0] = False
+    for d in range(2, math.isqrt(q) + 1):
+        if q % d == 0:
+            keep[::d] = keep[:: q // d] = False
+    return np.flatnonzero(keep)
 
 
 def _phases(q: int, exponents: np.ndarray) -> np.ndarray:

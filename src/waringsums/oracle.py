@@ -40,6 +40,7 @@ __all__ = [
     "InversionResult",
     "verify_inversion",
     "ResidualRecord",
+    "ResidualTable",
     "residual_table",
     "write_binary",
     "read_binary",
@@ -76,12 +77,7 @@ class RepCountTable:
 
 def kth_powers(k: int, N: int) -> List[int]:
     """All y^k <= N with y >= 1."""
-    out = []
-    y = 1
-    while y**k <= N:
-        out.append(y**k)
-        y += 1
-    return out
+    return [y**k for y in range(1, _series.integer_kth_root(N, k) + 1)]
 
 
 def _width_bits_for(k: int, s: int, N: int, signed: bool) -> int:
@@ -92,24 +88,26 @@ def _width_bits_for(k: int, s: int, N: int, signed: bool) -> int:
     return max(MIN_WIDTH_BITS, 8 * ((bound_bits + 7) // 8))
 
 
-def _encode(counts: Sequence[int], wbytes: int) -> bytearray:
+def _encode(counts: Sequence[int], wbytes: int) -> bytes:
     """The WRC1 entries, for the packed engine and the file: each count in
     order as a little-endian unsigned integer of wbytes bytes."""
-    if max(counts, default=0).bit_length() > 8 * wbytes:
+    top = max(counts, default=0)
+    if top.bit_length() > 8 * wbytes:
         raise WidthOverflowError("count exceeds declared entry width")
-    buf = bytearray(len(counts) * wbytes)
-    for i, c in enumerate(counts):
-        if c:
-            buf[i * wbytes : (i + 1) * wbytes] = int(c).to_bytes(wbytes, "little")
-    return buf
+    if top < 2**64:  # one word per entry, the higher ones zero
+        entries = np.zeros((len(counts), wbytes), dtype=np.uint8)
+        entries[:, :8] = np.array(counts, dtype="<u8").view(np.uint8).reshape(-1, 8)
+        return entries.tobytes()
+    return b"".join(int(c).to_bytes(wbytes, "little") for c in counts)
 
 
 def _decode(raw: bytes, wbytes: int) -> List[int]:
     """The counts of an _encode layout."""
-    return [
-        int.from_bytes(raw[i : i + wbytes], "little")
-        for i in range(0, len(raw), wbytes)
-    ]
+    entries = np.frombuffer(raw, dtype=np.uint8).reshape(-1, wbytes)
+    if not entries[:, 8:].any():
+        return np.ascontiguousarray(entries[:, :8]).view("<u8").ravel().tolist()
+    return [int.from_bytes(raw[i : i + wbytes], "little")
+            for i in range(0, len(raw), wbytes)]
 
 
 def _convolve_packed(acc: int, powers: Sequence[int], N: int, wbytes: int,
@@ -278,19 +276,33 @@ class ResidualRecord:
     residuals: tuple
 
 
-def residual_table(
-    k: int,
-    s: int,
-    J: int,
-    n_min: int,
-    n_max: int,
-    Q: int,
-    counts: Optional[RepCountTable] = None,
-) -> List[ResidualRecord]:
+@dataclass(frozen=True, eq=False)
+class ResidualTable:
+    """The columns of residual_table: ns, the exact counts as ints, and
+    (J+1, len(ns)) float arrays predicted and residuals.  Iterating gives
+    one ResidualRecord per n."""
+
+    ns: np.ndarray
+    exact: list
+    predicted: np.ndarray
+    residuals: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.exact)
+
+    def __iter__(self):
+        for n, c, p, r in zip(self.ns.tolist(), self.exact, self.predicted.T.tolist(),
+                              self.residuals.T.tolist()):
+            yield ResidualRecord(n, c, tuple(p), tuple(r))
+
+
+def residual_table(k: int, s: int, J: int, n_min: int, n_max: int, Q: int,
+                   counts: Optional[RepCountTable] = None) -> ResidualTable:
     """Exact counts against cumulative expansion predictions.
 
     predicted_j(n) sums the expansion through order j with coefficients
-    truncated at level Q; residuals are exact - predicted_j.  A
+    truncated at level Q; residuals are exact - predicted_j, computed as
+    float(exact) - predicted_j, which is what int - float gives.  A
     precomputed unsigned table may be passed to skip the convolution.
     """
     if not 1 <= n_min <= n_max:
@@ -308,14 +320,9 @@ def residual_table(
     for j in range(J + 1):
         term[j] = prefactors[j] * vals[j] * nf ** ((s - j) / k - 1.0)
     predicted = np.cumsum(term, axis=0)
-    records = []
-    for i, n in enumerate(ns):
-        exact = counts[int(n)]
-        preds = tuple(float(predicted[j, i]) for j in range(J + 1))
-        records.append(
-            ResidualRecord(int(n), exact, preds, tuple(exact - p for p in preds))
-        )
-    return records
+    exact = list(counts.counts[n_min : n_max + 1])
+    residuals = np.array([float(c) for c in exact]) - predicted
+    return ResidualTable(ns, exact, predicted, residuals)
 
 
 def write_binary(table: RepCountTable, path: str) -> None:
@@ -357,5 +364,4 @@ def write_csv(table: RepCountTable, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# k={table.k} s={table.s} N={table.N} signed={int(table.signed)}\n")
         fh.write("n,count\n")
-        for n, c in enumerate(table.counts):
-            fh.write(f"{n},{c}\n")
+        fh.writelines(f"{n},{c}\n" for n, c in enumerate(table.counts))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import importlib.util
@@ -5,6 +6,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from waringsums import cli, expansion, oracle, series
@@ -192,6 +194,34 @@ GOLDEN = [
      "7ea3f2c60d810338678ceaad7376793fb4aaf83aa22faf258bceed138ff8489e"),
     ("thm15 --k 3 --s 13 --j 1 --x 300 --Q 100,600 --C 0.48".split(),
      "12239cd3571c5fe80df6a881c5934c41b92bb90dd8127bd1f01224433f34d1e6"),
+    # recorded with the row-wise emitter, before output became column-wise:
+    # JSON mirrors of every subcommand, and counts above 2^53 and 2^64
+    ("residuals --k 3 --s 13 --J 2 --n-min 1000 --n-max 1400 --Q 100 --json".split(),
+     "5f69bd7cf6cc748ac2d5ed5897611ff928afbe3aa15a90e4787353b2069478c0"),
+    ("residuals --k 2 --s 20 --J 1 --n-min 400 --n-max 800 --Q 40".split(),
+     "2a06ba85d2204861bc1afe195be14aed8de1650e0be5e045b9770162c8877a4a"),
+    ("oracle --k 2 --s 4 --n-max 500 --signed --json".split(),
+     "c24214e29c288a8666070e0c4633cbddd4ed1e225ac194b309abdf1201caf511"),
+    ("oracle --k 2 --s 24 --n-max 1000".split(),
+     "e45ee213e07b68783aba16fe4c663009a7815f2d20607289b308cef4d42ed16c"),
+    ("oracle --k 2 --s 24 --n-max 1000 --json".split(),
+     "032e2bce349786fa7c470042909cc4c8f2ebe479c7e5ac36b2a5a964ab9eb386"),
+    ("series --k 3 --s 13 --j 2 --n-min 500 --n-max 600 --Q 200 --json".split(),
+     "f4c7041c7b1e64196282e36c19e6f3aa3552803c8e451b49226e7b358b6fc8ab"),
+    ("series --k 3 --s 9 --j 1 --n 123457 --Q 300 --json".split(),
+     "59bf9414456c3052fb5d5e28ca9108bede7831c20340f0d63033a14aec988c48"),
+    ("expsum --k 2 --q 4 --a 1 --json".split(),
+     "fd7ace2fba0da41d9006ab7b8251f40a405a57870ce700365b82123bdfe68518"),
+    ("expansion --k 3 --s 13 --J 2 --n 77777 --Q 300 --json".split(),
+     "135c4d102e5d6cb3bd24e6a2f50e88790ee360599cbd750b94c58909fbf76802"),
+    ("em-verify --k 2 --theta 1.5 --q 11 --r 3 --X 10000,20000 --json".split(),
+     "41eb5f0063acef4f5a2aab5493305d75a4b0517f2e4da29f2a542a513dbba00a"),
+    ("thm14 --k 3 --s 8 --Q 2..5 --trunc 200 --m 3 --json".split(),
+     "faf0f07e351eacf5ffc44d4cfb4ce36d59dee5af91a08e70252b9828621c1209"),
+    ("thm15 --k 3 --s 13 --j 1 --x 300 --Q 50,100 --json".split(),
+     "b1049e210e94b5d838726600e1c385afbc6ac71740958beeae22292048c1dd72"),
+    ("selftest --json".split(),
+     "3575f1c2d4b75ad5b0073331a2ac69732372543dd01ea83a4ccd74e433cfbea2"),
 ]
 
 
@@ -309,6 +339,51 @@ class TestOutputModes:
         mantissa = value_field.replace("-", "").replace(".", "").lstrip("0")
         assert len(mantissa.split("e")[0]) == 15
 
+    def test_negative_zero_prints_as_zero(self, tmp_path):
+        for json_out in (False, True):
+            out = tmp_path / "z.txt"
+            args = argparse.Namespace(output=str(out), json=json_out)
+            cli._emit(args, {"x": -0.0}, {"a": np.array([-0.0, 1.5, -2.0]),
+                                         "b": [-0.0, 0.0, -1e-300], "c": [0, 1, 2]})
+            text = out.read_text()
+            if json_out:
+                payload = json.loads(text)
+                assert payload["rows"] == [[0.0, 0.0, 0], [1.5, 0.0, 1], [-2.0, -1e-300, 2]]
+                assert [math.copysign(1.0, v) for v in payload["rows"][0][:2]] == [1.0, 1.0]
+            else:
+                assert text.splitlines()[1:] == ["# x=0", "a,b,c", "0,0,0", "1.5,0,1",
+                                                 "-2,-1e-300,2"]
+
+    @pytest.mark.parametrize("argv", [
+        "residuals --k 3 --s 13 --J 2 --n-min 1000 --n-max 1300 --Q 60",
+        "residuals --k 2 --s 20 --J 1 --n-min 400 --n-max 600 --Q 30",
+        "oracle --k 2 --s 24 --n-max 700",
+        "oracle --k 2 --s 4 --n-max 300 --signed",
+    ])
+    def test_json_mirror_equals_csv(self, tmp_path, argv):
+        _, csv_text = run_to_file(tmp_path, argv.split(), "t.csv")
+        _, json_text = run_to_file(tmp_path, argv.split() + ["--json"], "t.json")
+        payload = json.loads(json_text)
+        lines = csv_text.splitlines()
+        assert lines[2].split(",") == payload["columns"]
+        rows = [line.split(",") for line in lines[3:]]
+        assert len(rows) == len(payload["rows"]) > 100
+        for row, mirror in zip(rows, payload["rows"]):
+            for cell, value in zip(row, mirror):
+                if isinstance(value, int):
+                    assert cell == str(value)
+                else:
+                    assert float(cell) == value
+
+    def test_rows_written_in_blocks_equal_one_block(self, tmp_path, monkeypatch):
+        argv = "residuals --k 2 --s 9 --J 1 --n-min 100 --n-max 160 --Q 20".split()
+        _, whole = run_to_file(tmp_path, argv, "a.csv")
+        for rows in (1, 7, 61, 62):
+            monkeypatch.setattr(cli, "ROWS_PER_WRITE", rows)
+            _, blocks = run_to_file(tmp_path, argv, f"b{rows}.csv")
+            assert blocks == whole
+        assert len(whole.splitlines()) == 3 + 61
+
     def test_config_file_supplies_defaults_flags_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("q = 9\na = 1\n")
@@ -357,5 +432,13 @@ def test_tracer_targets_resolve():
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    for module, name, *_ in tracer._targets():
+    attrs = {}
+    for module, name, _, attr in tracer._targets():
         assert callable(getattr(importlib.import_module(f"waringsums.{module}"), name))
+        attrs[module, name] = attr
+    # the span attributes are computed from real return values
+    args = (2, 9, 1, 100, 130, 20)
+    assert attrs["oracle", "residual_table"](oracle.residual_table(*args), *args) == 31
+    kw = dict(counts=oracle.count_representations(2, 9, 130))
+    assert attrs["oracle", "residual_table"](oracle.residual_table(*args, **kw), *args,
+                                             **kw) == 31

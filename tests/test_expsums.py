@@ -201,3 +201,17 @@ class TestPowerResidues:
         # the largest q whose products fit int64 passes the guard
         with pytest.raises(AssertionError, match="allocated"):
             expsums.power_residues(3_037_000_500, 3)
+
+
+class TestCoprimeResidues:
+    @staticmethod
+    def by_gcd(q):
+        return [a for a in range(1, q) if math.gcd(a, q) == 1] if q > 1 else [0]
+
+    @pytest.mark.parametrize("qs", [range(1, 700), [1024, 1031, 2 * 3 * 5 * 7 * 11 * 13,
+                                                    3**7, 997 * 2, 997**2, 65536 + 1]])
+    def test_sieve_equals_gcd_definition(self, qs):
+        for q in qs:
+            got = expsums.coprime_residues(q)
+            assert got.dtype == np.int64
+            assert got.tolist() == self.by_gcd(q), q

@@ -174,6 +174,35 @@ class TestResidualTable:
         with pytest.raises(ValueError):
             oracle.residual_table(2, 9, 1, 1, 50, 10, counts=table)
 
+    @pytest.mark.parametrize("k, s, J, n_min, n_max, Q", [
+        (3, 13, 2, 1000, 1400, 60),
+        # counts from 2^54 up to 2^64: float(exact) rounds, as int - float does
+        (2, 20, 1, 400, 800, 30),
+        # counts above 2^64
+        (2, 24, 1, 700, 1000, 20),
+    ])
+    def test_residual_columns_are_int_minus_float(self, k, s, J, n_min, n_max, Q):
+        table = oracle.count_representations(k, s, n_max)
+        res = oracle.residual_table(k, s, J, n_min, n_max, Q, counts=table)
+        if k == 2:
+            assert min(res.exact) > 2**53
+        assert res.ns.tolist() == list(range(n_min, n_max + 1))
+        assert res.exact == [table[n] for n in range(n_min, n_max + 1)]
+        assert res.predicted.shape == res.residuals.shape == (J + 1, n_max - n_min + 1)
+        for j in range(J + 1):
+            want = [(c - p).hex() for c, p in zip(res.exact, res.predicted[j].tolist())]
+            assert [r.hex() for r in res.residuals[j].tolist()] == want
+
+    def test_length_and_records(self):
+        res = oracle.residual_table(3, 13, 2, 1000, 1040, 40)
+        records = list(res)
+        assert len(res) == len(records) == 41
+        for i, rec in enumerate(records):
+            assert rec == oracle.ResidualRecord(
+                1000 + i, res.exact[i], tuple(res.predicted[:, i].tolist()),
+                tuple(res.residuals[:, i].tolist()))
+            assert type(rec.n) is int and type(rec.predicted[0]) is float
+
 
 class TestExports:
     def test_binary_round_trip(self, tmp_path):
@@ -262,6 +291,40 @@ class TestExports:
         path.write_bytes(b"WRC1" + bytes(10))
         with pytest.raises(ValueError, match="header"):
             oracle.read_binary(str(path))
+
+    @staticmethod
+    def _entries(counts, wbytes):
+        return b"".join(c.to_bytes(wbytes, "little") for c in counts)
+
+    @pytest.mark.parametrize("wbytes", [16, 17, 24])
+    @pytest.mark.parametrize("top", [0, 2**53 + 1, 2**64 - 1, 2**64, 2**100 + 3])
+    def test_entry_codec_against_to_bytes(self, wbytes, top):
+        # the one-word fast path up to 2^64 - 1, the per-entry path above
+        counts = [0, 1, 255, 256, 2**32 + 7, 2**63, top, 5]
+        raw = self._entries(counts, wbytes)
+        assert oracle._encode(counts, wbytes) == raw
+        assert oracle._encode(tuple(counts), wbytes) == raw
+        assert oracle._decode(raw, wbytes) == counts
+        assert all(type(c) is int for c in oracle._decode(raw, wbytes))
+        assert oracle._encode([], wbytes) == b"" and oracle._decode(b"", wbytes) == []
+
+    @pytest.mark.parametrize("k, s, N, signed", [
+        (3, 13, 3000, False), (2, 24, 1000, False), (2, 14, 2000, True)])
+    def test_binary_bytes_are_per_entry_to_bytes(self, tmp_path, k, s, N, signed):
+        # the layout every earlier version wrote, including counts of 68 and 79 bits
+        build = oracle.count_representations_signed if signed else oracle.count_representations
+        table = build(k, s, N)
+        path = tmp_path / "t.bin"
+        oracle.write_binary(table, str(path))
+        raw = path.read_bytes()
+        assert raw[oracle._HEADER.size:] == self._entries(table.counts, table.width_bits // 8)
+        assert oracle.read_binary(str(path)) == table
+
+    def test_encode_width_overflow(self):
+        with pytest.raises(oracle.WidthOverflowError):
+            oracle._encode([1, 2**128], 16)
+        with pytest.raises(oracle.WidthOverflowError):
+            oracle._encode([2**64], 8)
 
     def test_width_overflow_on_export(self, tmp_path):
         bogus = oracle.RepCountTable(2, 2, 1, False, 128, (1, 1 << 200))
