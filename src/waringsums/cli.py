@@ -177,6 +177,8 @@ def _cmd_series(args) -> int:
         return 0
     if args.n_min is None or args.n_max is None or args.Q is None:
         raise ValueError("range mode needs --n-min, --n-max and --Q")
+    if args.n_max < args.n_min:
+        raise ValueError(f"empty range --n-min {args.n_min} --n-max {args.n_max}")
     ns = np.arange(args.n_min, args.n_max + 1, dtype=np.int64)
     vals = series.series_over_range(args.k, args.s, args.j, ns, args.Q)
     meta.update(n_min=args.n_min, n_max=args.n_max)
@@ -337,13 +339,15 @@ def _selftest_checks(seed: int):
             return "signed mismatch at (k=2, s=2)"
         return None
 
-    def int64_vs_packed():
-        # (2, 14, 2000) signed reaches 68 bits, so the overflow guard fires
-        for k, s, N, signed in ((3, 4, 500, False), (2, 14, 2000, True)):
-            build = (oracle.count_representations_signed if signed
-                     else oracle.count_representations)
-            if list(build(k, s, N).counts) != oracle._count_packed(k, s, N, signed):
-                return f"int64 != packed at (k={k}, s={s}, N={N}, signed={signed})"
+    def limbs_vs_inversion():
+        # the signed tables of orders 13 and 14 (63 and 68 bits) carry into a
+        # second limb; the unsigned ones stay on one
+        result = oracle.verify_inversion(2, 14, 2000)
+        if not result:
+            return f"inversion failed: {result.first_failure}"
+        if oracle.count_representations(3, 4, 500).counts != \
+                oracle.count_by_enumeration(3, 4, 500).counts:
+            return "mismatch with enumeration at (k=3, s=4, N=500)"
         return None
 
     return [
@@ -354,7 +358,7 @@ def _selftest_checks(seed: int):
         ("batch-vs-direct", batch_vs_direct),
         ("inversion-identities", inversion),
         ("convolution-vs-enumeration", convolution_vs_enumeration),
-        ("int64-vs-packed", int64_vs_packed),
+        ("limbs-vs-inversion", limbs_vs_inversion),
     ]
 
 

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
+
 from .arith import log_gamma
 from .series import TruncationSpec, truncated_series
 
@@ -25,6 +27,7 @@ __all__ = [
     "coefficient_prefactors",
     "coefficients_even",
     "coefficients_odd",
+    "expansion_partial_sums",
     "evaluate_expansion",
     "admissibility_threshold",
 ]
@@ -139,15 +142,25 @@ def coefficients_odd(s: int, J: int, n: int, k: int, Q: int) -> ExpansionCoeffic
     return _coefficients(s, J, n, k, Q)
 
 
+def expansion_partial_sums(ns, s: int, k: int, c) -> np.ndarray:
+    """Row j: n^(s/k-1) * sum_{i<=j} c_i n^(-i/k) at every n of ns.
+
+    c is (J+1,) for coefficients shared by every n, or (J+1, len(ns)) for
+    coefficients that depend on n; the result is (J+1, len(ns)).
+    """
+    nf = np.asarray(ns, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    terms = np.empty((len(c), nf.size))
+    for j in range(len(c)):
+        terms[j] = c[j] * nf ** ((s - j) / k - 1.0)
+    return np.cumsum(terms, axis=0)
+
+
 def evaluate_expansion(n: int, coeffs: ExpansionCoefficients) -> float:
     """n^(s/k-1) * sum_j c_j n^(-j/k); defined for n >= 1 only."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    k, s = coeffs.k, coeffs.s
-    total = 0.0
-    for j, c in enumerate(coeffs.coefficients):
-        total += c * float(n) ** ((s - j) / k - 1.0)
-    return total
+    return float(expansion_partial_sums([n], coeffs.s, coeffs.k, coeffs.coefficients)[-1, 0])
 
 
 def admissibility_threshold(k: int, nu: float) -> float:

@@ -1,17 +1,20 @@
 """Exact counting of representations by sums of k-th powers.
 
 Tables are built by iterated convolution of the k-th-power indicator
-sequence, in exact integer arithmetic throughout.  Each step is a
-handful of shifted additions of numpy int64 arrays.  Before every step
-an exact run-time guard checks that the largest entry times (w*P + 1)
-stays below 2**63, where P is the number of k-th powers up to N and w
-the weight of each (2 signed, 1 unsigned).  All terms are non-negative,
-so this bounds every partial sum and int64 never wraps.  When the guard
-fails, the remaining steps run on the packed engine, which holds the
-whole table in one Python big integer with a fixed byte width per entry
-(the declared width_bits, an a-priori bound on every count), so counts
-stay exact at any size.  A brute-force enumerator is kept alongside as
-the independent oracle.
+sequence, in exact integer arithmetic throughout.  The table is a
+(limbs, N+1) numpy int64 array, entry n being sum_l acc[l, n] * 2**(w*l);
+each step is a handful of shifted additions of it.  Before every step an
+exact run-time guard checks that the largest limb times (v*P + 1) stays
+below 2**63, where P is the number of k-th powers up to N and v the
+weight of each (2 signed, 1 unsigned).  All terms are non-negative, so
+this bounds every partial sum and int64 never wraps.  While the guard
+fails, a carry pass moves each limb's bits above w into the next limb,
+adding a top limb when needed; w = 63 - bit_length(v*P + 1) makes the
+guard hold again.  Until the guard first fails the table is one limb,
+and each step is a plain int64 shift-add.  The limbs are combined into
+Python ints once, at the end, and checked against the declared
+width_bits, an a-priori bound on every count.  A brute-force enumerator
+is kept alongside as the independent oracle.
 
 Counts are ordered-tuple counts.  The unsigned table counts solutions in
 positive integers; the signed table (even k only) counts solutions in
@@ -44,7 +47,6 @@ __all__ = [
     "residual_table",
     "write_binary",
     "read_binary",
-    "write_csv",
 ]
 
 MAGIC = b"WRC1"
@@ -89,8 +91,8 @@ def _width_bits_for(k: int, s: int, N: int, signed: bool) -> int:
 
 
 def _encode(counts: Sequence[int], wbytes: int) -> bytes:
-    """The WRC1 entries, for the packed engine and the file: each count in
-    order as a little-endian unsigned integer of wbytes bytes."""
+    """The WRC1 entries: each count in order as a little-endian unsigned
+    integer of wbytes bytes."""
     top = max(counts, default=0)
     if top.bit_length() > 8 * wbytes:
         raise WidthOverflowError("count exceeds declared entry width")
@@ -110,46 +112,18 @@ def _decode(raw: bytes, wbytes: int) -> List[int]:
             for i in range(0, len(raw), wbytes)]
 
 
-def _convolve_packed(acc: int, powers: Sequence[int], N: int, wbytes: int,
-                     signed: bool) -> int:
-    mask = (1 << (8 * wbytes * (N + 1))) - 1
-    shifted = 0
-    for yk in powers:
-        shifted += acc << (8 * wbytes * yk)
-    if signed:
-        acc = acc + 2 * shifted
-    else:
-        acc = shifted
-    return acc & mask
-
-
-def _convolve_int64(acc: np.ndarray, powers: Sequence[int], N: int,
-                    signed: bool) -> np.ndarray:
-    # Exact only while no entry reaches 2**63; _build_table checks that
-    # before every step.
-    shifted = np.zeros_like(acc)
-    for yk in powers:
-        shifted[yk:] += acc[: N + 1 - yk]
-    if signed:
-        shifted *= 2
-        shifted += acc
-    return shifted
-
-
-def _packed_steps(counts: Sequence[int], powers: Sequence[int], N: int,
-                  steps: int, wbytes: int, signed: bool) -> List[int]:
-    acc = int.from_bytes(_encode(counts, wbytes), "little")
-    for _ in range(steps):
-        acc = _convolve_packed(acc, powers, N, wbytes, signed)
-    return _decode(acc.to_bytes((N + 1) * wbytes, "little"), wbytes)
-
-
-def _base_sequence(powers: Sequence[int], N: int, signed: bool) -> np.ndarray:
-    base = np.zeros(N + 1, dtype=np.int64)
-    if signed:
-        base[0] = 1
-    base[powers] = 2 if signed else 1
-    return base
+def _carry(acc: np.ndarray, w: int) -> np.ndarray:
+    """Move the bits of every limb above bit w into the next limb up,
+    adding a top limb when the top one carries; the value of each entry
+    is unchanged.  A new limb is a masked limb below 2**w plus a carry
+    below 2**(63-w), so nothing wraps, and while the largest limb is
+    above 2**w (as it is whenever the guard fails) a pass lowers it."""
+    high = acc >> w
+    acc &= (1 << w) - 1
+    if high[-1].any():
+        acc = np.vstack([acc, np.zeros_like(acc[:1])])
+    acc[1:] += high[: len(acc) - 1]
+    return acc
 
 
 def _build_table(k: int, s: int, N: int, signed: bool) -> RepCountTable:
@@ -161,27 +135,30 @@ def _build_table(k: int, s: int, N: int, signed: bool) -> RepCountTable:
         raise ValueError("k must be >= 2")
     powers = kth_powers(k, N)
     width_bits = _width_bits_for(k, s, N, signed)
-    # One step multiplies the largest entry by less than this factor.
+    # One step multiplies the largest limb by less than this factor, so
+    # limbs of w bits stay below 2**63 through the next step.
     growth = (2 if signed else 1) * len(powers) + 1
-    acc = _base_sequence(powers, N, signed)
-    steps = s - 1
-    while steps and int(acc.max()) * growth < 2**63:
-        acc = _convolve_int64(acc, powers, N, signed)
-        steps -= 1
-    counts = acc.tolist()
-    if steps:
-        counts = _packed_steps(counts, powers, N, steps, width_bits // 8, signed)
+    w = 63 - growth.bit_length()
+    acc = np.zeros((1, N + 1), dtype=np.int64)  # (limbs, N+1), lowest limb first
+    if signed:
+        acc[0, 0] = 1
+    acc[0, powers] = 2 if signed else 1
+    for _ in range(s - 1):
+        while int(acc.max()) * growth >= 2**63:
+            acc = _carry(acc, w)
+        shifted = np.zeros_like(acc)
+        for yk in powers:
+            shifted[:, yk:] += acc[:, : N + 1 - yk]
+        if signed:
+            shifted *= 2
+            shifted += acc
+        acc = shifted
+    counts = acc[-1].tolist()
+    for limb in acc[-2::-1]:
+        counts = [(c << w) + d for c, d in zip(counts, limb.tolist())]
     if max(counts).bit_length() > width_bits:
         raise WidthOverflowError("count exceeds declared entry width")
     return RepCountTable(k, s, N, signed, width_bits, tuple(counts))
-
-
-def _count_packed(k: int, s: int, N: int, signed: bool = False) -> List[int]:
-    """The counts of _build_table, on the packed engine alone."""
-    powers = kth_powers(k, N)
-    base = _base_sequence(powers, N, signed).tolist()
-    wbytes = _width_bits_for(k, s, N, signed) // 8
-    return _packed_steps(base, powers, N, s - 1, wbytes, signed)
 
 
 def count_representations(k: int, s: int, N: int) -> RepCountTable:
@@ -313,13 +290,10 @@ def residual_table(k: int, s: int, J: int, n_min: int, n_max: int, Q: int,
         raise ValueError("supplied table does not match the experiment")
     prefactors = _expansion.coefficient_prefactors(s, J, k)
     ns = np.arange(n_min, n_max + 1, dtype=np.int64)
-    nf = ns.astype(np.float64)
     orders = [_expansion.series_order(k, s, j) for j in range(J + 1)]
     vals = _series.series_over_range_orders(k, orders, ns, Q).real
-    term = np.zeros((J + 1, ns.size))
-    for j in range(J + 1):
-        term[j] = prefactors[j] * vals[j] * nf ** ((s - j) / k - 1.0)
-    predicted = np.cumsum(term, axis=0)
+    coeffs = np.array(prefactors)[:, None] * vals
+    predicted = _expansion.expansion_partial_sums(ns, s, k, coeffs)
     exact = list(counts.counts[n_min : n_max + 1])
     residuals = np.array([float(c) for c in exact]) - predicted
     return ResidualTable(ns, exact, predicted, residuals)
@@ -359,9 +333,3 @@ def read_binary(path: str) -> RepCountTable:
         raw = fh.read()
     return RepCountTable(k, s, N, bool(signed), width_bits, tuple(_decode(raw, wbytes)))
 
-
-def write_csv(table: RepCountTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# k={table.k} s={table.s} N={table.N} signed={int(table.signed)}\n")
-        fh.write("n,count\n")
-        fh.writelines(f"{n},{c}\n" for n, c in enumerate(table.counts))

@@ -2,7 +2,7 @@
 
 Everything here recomputes values from definitions with plain Python
 loops (or one vectorized gather), deliberately independent of the
-library's FFT/packing fast paths.  The exception is the full-row moment
+library's FFT/int64 fast paths.  The exception is the full-row moment
 reference, which uses one whole `batch_values` DFT row per modulus: the
 path that the multiplicative moment evaluation replaces.
 """
@@ -92,6 +92,29 @@ def direct_progression_power_sum(spec, variant: str) -> float:
         max(float(Xk - (spec.q * h + spec.r) ** spec.k), 0.0) ** spec.theta
         for h in range(hmin, hmax + 1)
     )
+
+
+def python_int_counts(k: int, s: int, N: int, signed: bool = False) -> list:
+    """Exact representation counts for n <= N by a plain Python-int
+    shift-add: s convolutions of the indicator of 0 with the weighted
+    k-th powers (weight 1 each unsigned; 2 each plus 1 at 0 signed).  The
+    library never calls this; it is the reference for its int64 limb engine.
+    """
+    items = [(0, 1)] if signed else []
+    y = 1
+    while y**k <= N:
+        items.append((y**k, 2 if signed else 1))
+        y += 1
+    acc = [1] + [0] * N
+    for _ in range(s):
+        nxt = [0] * (N + 1)
+        for n, c in enumerate(acc):
+            for value, weight in items:
+                if n + value > N:
+                    break
+                nxt[n + value] += c * weight
+        acc = nxt
+    return acc
 
 
 def loglog_slope(xs, ys) -> float:

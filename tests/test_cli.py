@@ -118,6 +118,7 @@ class TestWalkValidation:
         "thm15 --k 3 --s 13 --j 1 --x 10 --Q ,",
         "thm14 --k 3 --s 8 --Q , --trunc 40",
         "em-verify --k 2 --theta 1.5 --q 11 --r 3 --X ,",
+        "series --k 3 --s 9 --n-min 10 --n-max 5 --Q 10",
         # the default Q = floor(n^(1/3)) has 134 digits
         pytest.param(f"series --k 3 --s 9 --n {10**400}", id="series --n 10**400"),
     ])
@@ -184,7 +185,7 @@ GOLDEN = [
     ("em-verify --k 2 --theta 1.5 --q 11 --r 3 --X 10000,20000".split(),
      "52f640839b903e4841f824c255c02d4e3fa3d19d9b62f25286b0cf92c506c022"),
     ("selftest".split(),
-     "dd907309d1ff62b9e00bac52f07692b97ddc96730b024ed248c0d76dd32f6b06"),
+     "a414783113b62103f77c5d6cabe29d81f4a454495d4e51fce4629eada167aafd"),
     # Q above 512, where every walk over the moduli revisits none of them
     ("residuals --k 3 --s 13 --J 2 --n-min 1000 --n-max 1600 --Q 600".split(),
      "acccd6ed939657fc9191c6c06879d0140716b44815b5a8b36fc4cf1fe2a4476a"),
@@ -221,7 +222,7 @@ GOLDEN = [
     ("thm15 --k 3 --s 13 --j 1 --x 300 --Q 50,100 --json".split(),
      "b1049e210e94b5d838726600e1c385afbc6ac71740958beeae22292048c1dd72"),
     ("selftest --json".split(),
-     "3575f1c2d4b75ad5b0073331a2ac69732372543dd01ea83a4ccd74e433cfbea2"),
+     "90eb2dc53b481c11a2f4954f4130a47d739c5b6ed1b0b3ca261f5ca8f421dbfc"),
 ]
 
 

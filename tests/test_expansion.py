@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from waringsums import expansion, series
@@ -169,6 +170,18 @@ class TestEvaluateExpansion:
         got = expansion.evaluate_expansion(4096, coeffs)
         want = self._manual(2, 9, 1, coeffs.coefficients, 4096)
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_partial_sums_with_per_n_coefficients(self):
+        ns = [10, 777, 4096]
+        c = np.array([[2.0, 3.0, -1.0], [-0.7, 0.5, 4.0], [0.1, -0.2, 0.3]])
+        rows = expansion.expansion_partial_sums(ns, 13, 3, c)
+        assert rows.shape == (3, 3)
+        for i, n in enumerate(ns):
+            shared = expansion.expansion_partial_sums([n], 13, 3, c[:, i])
+            assert rows[:, i].tolist() == shared[:, 0].tolist()
+            for j in range(3):
+                assert rows[j, i] == pytest.approx(
+                    self._manual(3, 13, j, c[: j + 1, i], n), rel=1e-12)
 
     def test_rejects_nonpositive_n(self):
         coeffs = expansion.coefficients_even(9, 0, 10, 2, 5)

@@ -3,7 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from conftest import python_int_counts
 from waringsums import expansion, oracle, series
+
+
+def spy_on_carry(monkeypatch):
+    """The limb count after each carry pass of the count engine."""
+    limbs = []
+    real = oracle._carry
+
+    def recording(acc, w):
+        out = real(acc, w)
+        limbs.append(len(out))
+        return out
+
+    monkeypatch.setattr(oracle, "_carry", recording)
+    return limbs
 
 
 class TestCountRepresentations:
@@ -25,10 +40,35 @@ class TestCountRepresentations:
         enum = oracle.count_by_enumeration(3, 3, 100)
         assert conv.counts == enum.counts
 
-    def test_int64_equals_packed(self):
+    def test_equals_python_int_reference(self):
         for k, s, N in ((2, 5, 400), (3, 4, 600), (4, 3, 300)):
             fast = oracle.count_representations(k, s, N)
-            assert list(fast.counts) == oracle._count_packed(k, s, N)
+            assert list(fast.counts) == python_int_counts(k, s, N)
+
+    def test_79_bit_counts_span_limbs(self, monkeypatch):
+        limbs = spy_on_carry(monkeypatch)
+        table = oracle.count_representations(2, 24, 1000)
+        assert max(limbs) >= 2
+        assert max(table.counts).bit_length() == 79
+        assert list(table.counts) == python_int_counts(2, 24, 1000)
+
+    @pytest.mark.parametrize("limbs", [1, 2, 3])
+    def test_carry_keeps_every_value(self, limbs):
+        # entries up to 2**63 - 1 in every limb: nothing wraps, values stay
+        w = 57
+        rng = np.random.default_rng(limbs)
+        acc = rng.integers(0, 2**63, size=(limbs, 50), dtype=np.int64)
+        acc[:, :3] = [0, 2**63 - 1, 2**w]
+
+        def value(a):
+            return [sum(int(limb) << (w * l) for l, limb in enumerate(col)) for col in a.T]
+
+        want = value(acc)
+        out = oracle._carry(acc.copy(), w)
+        assert len(out) == limbs + 1
+        assert out.dtype == np.int64 and out.min() >= 0
+        assert out.max() < 2**w + 2**(63 - w)
+        assert value(out) == want
 
     def test_enumeration_equivalence_grid(self):
         for k in (2, 3):
@@ -83,36 +123,23 @@ class TestSignedCounts:
         enum = oracle.count_by_enumeration(2, 3, 500, signed=True)
         assert conv.counts == enum.counts
 
-    @staticmethod
-    def _spy_on_packed(monkeypatch):
-        calls = []
-        real = oracle._convolve_packed
-
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(oracle, "_convolve_packed", counting)
-        return calls
-
-    def test_guard_falls_back_to_packed(self, monkeypatch):
+    def test_guard_carries_into_limbs(self, monkeypatch):
         # the largest count is 68 bits, beyond int64
-        expected = oracle._count_packed(2, 14, 2000, signed=True)
-        calls = self._spy_on_packed(monkeypatch)
+        limbs = spy_on_carry(monkeypatch)
         table = oracle.count_representations_signed(2, 14, 2000)
-        assert calls, "the overflow guard did not fire"
+        assert limbs, "the overflow guard did not fire"
         assert max(table.counts).bit_length() == 68
-        assert list(table.counts) == expected
+        assert list(table.counts) == python_int_counts(2, 14, 2000, signed=True)
         assert table.width_bits == 128
         assert oracle.verify_inversion(2, 14, 2000)
 
     def test_near_boundary_stays_on_int64(self, monkeypatch):
         # the largest count is 58 bits, and the guard holds at every step
-        calls = self._spy_on_packed(monkeypatch)
+        limbs = spy_on_carry(monkeypatch)
         table = oracle.count_representations_signed(2, 12, 2000)
-        assert not calls
+        assert not limbs
         assert max(table.counts).bit_length() == 58
-        assert list(table.counts) == oracle._count_packed(2, 12, 2000, signed=True)
+        assert list(table.counts) == python_int_counts(2, 12, 2000, signed=True)
 
     def test_rejects_odd_k(self):
         with pytest.raises(ValueError):
@@ -231,15 +258,6 @@ class TestExports:
         path.write_bytes(b"NOPE" + bytes(40))
         with pytest.raises(ValueError):
             oracle.read_binary(str(path))
-
-    def test_csv_export(self, tmp_path):
-        table = oracle.count_representations(2, 2, 5)
-        path = tmp_path / "t.csv"
-        oracle.write_csv(table, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[1] == "n,count"
-        assert lines[2] == "0,0"
-        assert lines[4] == "2,1"
 
     @staticmethod
     def _rewrite(path, **fields):
