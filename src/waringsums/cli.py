@@ -156,9 +156,8 @@ def _cmd_expsum(args) -> int:
         svals = np.array([expsums.complete_sum(args.q, args.a, args.k).value])
         tvals = np.array([expsums.weighted_sum(args.q, args.a, args.k).value])
     else:
+        svals, tvals = expsums.batch_value_pair(args.q, args.k)
         a = np.arange(args.q)
-        svals = expsums.batch_values(args.q, args.k)
-        tvals = expsums.batch_weighted_values(args.q, args.k)
     _emit(args, meta, {"q": [args.q] * len(a), "a": a, "S_re": svals.real,
                        "S_im": svals.imag, "T_re": tvals.real, "T_im": tvals.imag})
     return 0

@@ -1,11 +1,12 @@
 """Lattice power sums over arithmetic progressions and their asymptotics.
 
-The direct evaluators sum (X^k - x_1^k - ... - x_l^k)^theta over lattice
-points x_i = r_i mod q, either two-sided (|x_i| <= X) or positive
-(0 < x_i <= X), with the final power nonnegative.  Endpoint membership
-is decided in exact rational arithmetic: ints, Fractions, and binary
-floats are all exact rationals, so the half-open/closed range boundaries
-never depend on a float comparison.
+lattice_power_sum is the one direct evaluator: it sums
+(X^k - x_1^k - ... - x_l^k)^theta over lattice points x_i = r_i mod q,
+either two-sided (|x_i| <= X) or positive (0 < x_i <= X), skipping every
+point whose base is negative; progression_power_sum is its l = 1 case.
+Window endpoints and signs are decided in exact arithmetic: ints,
+Fractions, and binary floats are all exact rationals, so no boundary
+depends on a float comparison.
 
 The asymptotic evaluators return the corresponding main terms, the
 boundary correction Psi that appears in the positive variant when k is
@@ -20,6 +21,7 @@ quadrature.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +44,7 @@ __all__ = [
 ]
 
 VARIANTS = ("two_sided", "positive")
-_CHUNK = 4096  # lattice points per int64 block in progression_power_sum
+_CHUNK = 4096  # points of the last coordinate per block in lattice_power_sum
 
 
 class QuadratureError(RuntimeError):
@@ -76,6 +78,8 @@ class LatticeSumSpec:
             raise ValueError("theta must be >= 0")
         if self.N < 1:
             raise ValueError("N must be >= 1")
+        if self.r == ():
+            raise ValueError("r must hold at least one residue")
 
     @property
     def l(self) -> int:
@@ -99,52 +103,11 @@ def _scalar_residue(spec: LatticeSumSpec) -> int:
     return spec.r
 
 
-def _h_range(spec: LatticeSumSpec, variant: str) -> Tuple[int, int]:
-    """Integer h with x = qh + r admissible: closed [-(X+r)/q, (X-r)/q]
-    for two_sided, half-open (-r/q, (X-r)/q] for positive."""
-    r = _scalar_residue(spec)
-    q, Xf = spec.q, Fraction(spec.X)
-    hmax = math.floor((Xf - r) / q)
-    if variant == "two_sided":
-        hmin = math.ceil(-(Xf + r) / q)
-    else:
-        hmin = math.floor(Fraction(-r, q)) + 1
-    return hmin, hmax
-
-
 def progression_power_sum(spec: LatticeSumSpec, variant: str = "two_sided") -> float:
-    """sum over admissible h of (X^k - (qh + r)^k)^theta."""
-    _check_variant(variant)
-    r, q, k, theta = _scalar_residue(spec), spec.q, spec.k, spec.theta
-    hmin, hmax = _h_range(spec, variant)
-    Xf = Fraction(spec.X)
-    exact_int = Xf.denominator == 1
-    Xk = int(Xf) ** k if exact_int else Xf**k
-
-    def terms() -> Iterator[float]:
-        for h in range(hmin, hmax + 1):
-            base = Xk - (q * h + r) ** k
-            fb = float(base)
-            if fb < 0.0:
-                fb = 0.0
-            yield fb**theta
-
-    def int64_terms() -> Iterator[float]:
-        # The same terms: int64 -> float64 rounds correctly, like float(int),
-        # and Python's float ** float is the same libm pow.
-        for h0 in range(hmin, hmax + 1, _CHUNK):
-            x = q * np.arange(h0, min(h0 + _CHUNK, hmax + 1), dtype=np.int64) + r
-            xk = x.copy()
-            for _ in range(k - 1):
-                xk *= x
-            bases = np.maximum(Xk - xk, 0).astype(np.float64).tolist()
-            yield from (fb**theta for fb in bases)
-
-    # Every |x| <= xmax and |qh| <= xmax + |r|, so q, r, qh, x^i, X^k and
-    # X^k - x^k all stay below 2^63 in magnitude when the bound does.
-    xmax = max(abs(q * hmin + r), abs(q * hmax + r))
-    fits = exact_int and max(q, xmax + abs(r), Xk + xmax**k) < 2**63
-    return math.fsum(int64_terms() if fits else terms())
+    """sum over x = r mod q in the variant's window of (X^k - x^k)^theta:
+    the l = 1 lattice sum."""
+    _scalar_residue(spec)
+    return lattice_power_sum(spec, variant)
 
 
 def _gamma_ratio(theta: float, k: int, dims: int = 1) -> float:
@@ -213,37 +176,53 @@ def lattice_power_sum(spec: LatticeSumSpec, variant: str = "two_sided") -> float
     """sum of (X^k - x_1^k - ... - x_l^k)^theta over x_i = r_i mod q in
     the variant's window, subject to sum x_i^k <= X^k.
 
-    Cost grows as (X/q)^l; meant for desk-scale l <= 3.
+    The last coordinate runs in blocks of _CHUNK points, in int64 when
+    the bound below holds and over Python ints otherwise; a negative base
+    is skipped by an exact comparison, and the int64 -> float64 cast
+    rounds like float(int), so both leaves give the same terms.  Cost
+    grows as (X/q)^l; meant for desk-scale l <= 3.
     """
     _check_variant(variant)
     rs = spec.residues
-    q, k, theta = spec.q, spec.k, spec.theta
+    q, k, theta, l = spec.q, spec.k, spec.theta, len(rs)
     Xf = Fraction(spec.X)
     P = math.floor(Xf)
     exact_int = Xf.denominator == 1
     Xk = int(Xf) ** k if exact_int else Xf**k
     lower = 1 if variant == "positive" else -P
     can_prune = k % 2 == 0 or variant == "positive"
+    # Every |x| <= P and every block ends below P + q, while every x^i,
+    # partial budget and leaf base lies within +-(X^k + l P^k).
+    fits = exact_int and max(P + q, Xk + l * P**k) < 2**63
 
-    def values(ri: int) -> range:
-        start = lower + ((ri - lower) % q)
-        return range(start, P + 1, q)
+    def leaf(remaining, xs: range) -> Iterator[list]:
+        for i in range(0, len(xs), _CHUNK):
+            block = xs[i : i + _CHUNK]
+            if fits:
+                x = np.arange(block.start, block.stop, q, dtype=np.int64)
+                xk = x.copy()
+                for _ in range(k - 1):
+                    xk *= x
+                bases = remaining - xk
+                fbs = bases[bases >= 0].astype(np.float64).tolist()
+            else:
+                fbs = [float(b) for b in (remaining - x**k for x in block) if b >= 0]
+            yield [fb**theta for fb in fbs]
 
-    def recurse(depth: int, remaining) -> Iterator[float]:
-        if depth == len(rs):
-            fb = float(remaining)
-            if fb >= 0.0:
-                yield fb**theta
+    def blocks(depth: int, remaining) -> Iterator[list]:
+        xs = range(lower + (rs[depth] - lower) % q, P + 1, q)
+        if depth == l - 1:
+            yield from leaf(remaining, xs)
             return
-        for x in values(rs[depth]):
+        for x in xs:
             nxt = remaining - x**k
             if can_prune and nxt < 0:
                 if x >= 0:
                     break  # later x in the ascending scan only sink deeper
                 continue
-            yield from recurse(depth + 1, nxt)
+            yield from blocks(depth + 1, nxt)
 
-    return math.fsum(recurse(0, Xk))
+    return math.fsum(itertools.chain.from_iterable(blocks(0, Xk)))
 
 
 def lattice_power_sum_asymptotic(

@@ -42,7 +42,6 @@ __all__ = [
     "count_by_enumeration",
     "InversionResult",
     "verify_inversion",
-    "ResidualRecord",
     "ResidualTable",
     "residual_table",
     "write_binary",
@@ -245,19 +244,10 @@ def verify_inversion(k: int, s: int, N: int) -> InversionResult:
     return InversionResult(True, N)
 
 
-@dataclass(frozen=True)
-class ResidualRecord:
-    n: int
-    exact: int
-    predicted: tuple
-    residuals: tuple
-
-
 @dataclass(frozen=True, eq=False)
 class ResidualTable:
     """The columns of residual_table: ns, the exact counts as ints, and
-    (J+1, len(ns)) float arrays predicted and residuals.  Iterating gives
-    one ResidualRecord per n."""
+    (J+1, len(ns)) float arrays predicted and residuals."""
 
     ns: np.ndarray
     exact: list
@@ -266,11 +256,6 @@ class ResidualTable:
 
     def __len__(self) -> int:
         return len(self.exact)
-
-    def __iter__(self):
-        for n, c, p, r in zip(self.ns.tolist(), self.exact, self.predicted.T.tolist(),
-                              self.residuals.T.tolist()):
-            yield ResidualRecord(n, c, tuple(p), tuple(r))
 
 
 def residual_table(k: int, s: int, J: int, n_min: int, n_max: int, Q: int,

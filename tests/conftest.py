@@ -10,12 +10,12 @@ path that the multiplicative moment evaluation replaces.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from waringsums.eulermac import _h_range
 from waringsums.expsums import batch_values
 
 
@@ -84,14 +84,39 @@ def full_row_power_moment(lo: int, hi: int, u: int, theta: float, k: int) -> flo
 
 
 def direct_progression_power_sum(spec, variant: str) -> float:
-    """The one-dimensional lattice sum as a plain loop over Python ints."""
-    hmin, hmax = _h_range(spec, variant)
-    X = Fraction(spec.X)
+    """The one-dimensional lattice sum as a plain loop over Python ints:
+    h runs over the closed [-(X+r)/q, (X-r)/q] two-sided and over the
+    half-open (-r/q, (X-r)/q] positive, where x = qh + r."""
+    q, r, X = spec.q, spec.r, Fraction(spec.X)
+    hmax = math.floor((X - r) / q)
+    if variant == "two_sided":
+        hmin = math.ceil(-(X + r) / q)
+    else:
+        hmin = math.floor(Fraction(-r, q)) + 1
     Xk = int(X) ** spec.k if X.denominator == 1 else X**spec.k
     return math.fsum(
-        max(float(Xk - (spec.q * h + spec.r) ** spec.k), 0.0) ** spec.theta
+        max(float(Xk - (q * h + r) ** spec.k), 0.0) ** spec.theta
         for h in range(hmin, hmax + 1)
     )
+
+
+def direct_lattice_power_sum(spec, variant: str) -> float:
+    """The l-dimensional lattice sum as a plain nested loop over Python
+    ints (or Fractions): every point of the window, negative bases
+    skipped.  The library never calls this; it is the reference for its
+    blocked int64 and Python-int leaves."""
+    X = Fraction(spec.X)
+    P = math.floor(X)
+    Xk = int(X) ** spec.k if X.denominator == 1 else X**spec.k
+    lo, q = (1 if variant == "positive" else -P), spec.q
+    windows = [[q * h + r for h in range(-((r - lo) // q), (P - r) // q + 1)]
+               for r in spec.residues]
+    terms = []
+    for xs in itertools.product(*windows):
+        base = Xk - sum(x**spec.k for x in xs)
+        if base >= 0:
+            terms.append(float(base) ** spec.theta)
+    return math.fsum(terms)
 
 
 def python_int_counts(k: int, s: int, N: int, signed: bool = False) -> list:

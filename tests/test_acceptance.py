@@ -119,10 +119,9 @@ def test_ac06_psi_term_restores_error_order():
 
 def _secondary_term_experiment(k, s, n_min, n_max, Q):
     table = oracle.count_representations(k, s, n_max)
-    records = oracle.residual_table(k, s, 1, n_min, n_max, Q, counts=table)
-    ns = np.array([r.n for r in records], dtype=np.float64)
-    e0 = np.array([abs(r.residuals[0]) for r in records])
-    e1 = np.array([abs(r.residuals[1]) for r in records])
+    res = oracle.residual_table(k, s, 1, n_min, n_max, Q, counts=table)
+    ns = res.ns.astype(np.float64)
+    e0, e1 = np.abs(res.residuals)
     norm = ns ** ((s - 1) / k - 1.0)
     med0 = float(np.median(e0 / norm))
     med1 = float(np.median(e1 / norm))

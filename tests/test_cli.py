@@ -71,6 +71,19 @@ class TestExpsumCommand:
         assert first and first == second
 
 
+    def test_oversized_batch_is_refused_before_allocating(self, monkeypatch, capsys):
+        arange = np.arange
+
+        def small_arange(*args, **kw):
+            if any(abs(a) > 10**6 for a in args if isinstance(a, int)):
+                raise MemoryError("np.arange asked for a large array")
+            return arange(*args, **kw)
+
+        monkeypatch.setattr(np, "arange", small_arange)
+        assert cli.run(["expsum", "--k", "3", "--q", "4000000000"]) == 2
+        assert "error" in capsys.readouterr().err
+
+
 class TestSeriesCommand:
     def test_single_point(self, tmp_path):
         code, text = run_to_file(
@@ -223,6 +236,13 @@ GOLDEN = [
      "b1049e210e94b5d838726600e1c385afbc6ac71740958beeae22292048c1dd72"),
     ("selftest --json".split(),
      "90eb2dc53b481c11a2f4954f4130a47d739c5b6ed1b0b3ca261f5ca8f421dbfc"),
+    # recorded before the progression sum became the l = 1 lattice sum:
+    # the positive variant at odd k, and k = 4
+    ("em-verify --k 3 --theta 2.5 --q 4 --r 1 --N 2 --variant positive "
+     "--X 1000,10000,100000".split(),
+     "021a775338a0cd84dfeb50ba350bb4605499113db2e4ad8e4c79093dfcfbf2fc"),
+    ("em-verify --k 4 --theta 0.5 --q 7 --r 3 --X 1000,12345,99999".split(),
+     "4fa86fd4a7991ee43e48c4ea8d795e0ebabe4fe48307ea7f47cb04fca9ed27f8"),
 ]
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import direct_progression_power_sum, loglog_slope
+from conftest import (direct_lattice_power_sum, direct_progression_power_sum,
+                      loglog_slope)
 from waringsums import arith, eulermac
 from waringsums.eulermac import LatticeSumSpec
 
@@ -78,22 +79,27 @@ class TestProgressionDirect:
             LatticeSumSpec(1, 1, -3, 0.0, 2)
         with pytest.raises(ValueError):
             LatticeSumSpec(1, 1, 10, -0.5, 2)
+        with pytest.raises(ValueError):
+            LatticeSumSpec(3, (), 10, 1.0, 2)
+
+
+def _spy_on_arange(monkeypatch):
+    calls = []
+    arange = np.arange
+    monkeypatch.setattr(eulermac.np, "arange",
+                        lambda *a, **kw: calls.append(a) or arange(*a, **kw))
+    return calls
 
 
 class TestProgressionInt64Path:
-    @staticmethod
-    def _spy_on_arange(monkeypatch):
-        calls = []
-        arange = np.arange
-        monkeypatch.setattr(eulermac.np, "arange",
-                            lambda *a, **kw: calls.append(a) or arange(*a, **kw))
-        return calls
-
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("variant", eulermac.VARIANTS)
     def test_bit_identical_to_python_int_loop(self, monkeypatch, k, variant):
-        calls = self._spy_on_arange(monkeypatch)
-        for q, r, X in ((1, 0, 9000), (11, 3, 20000), (7, -2, 5000), (5, 9, 777), (3, 1, 2)):
+        calls = _spy_on_arange(monkeypatch)
+        # the last r lies far outside [0, q): it is reduced mod q, and no
+        # q h + r near 10^19 is ever formed
+        for q, r, X in ((1, 0, 9000), (11, 3, 20000), (7, -2, 5000), (5, 9, 777), (3, 1, 2),
+                        (10, 3 - 10**19, 1000)):
             for theta in (0.0, 1 / 3, 1.5, 2.0, 2.7):
                 spec = LatticeSumSpec(q, r, X, theta, k)
                 got = eulermac.progression_power_sum(spec, variant)
@@ -101,7 +107,7 @@ class TestProgressionInt64Path:
         assert calls  # the int64 path ran
 
     def test_chunk_edges(self, monkeypatch):
-        calls = self._spy_on_arange(monkeypatch)
+        calls = _spy_on_arange(monkeypatch)
         chunk = eulermac._CHUNK
         for X in (chunk - 1, chunk, 2 * chunk + 5):
             spec = LatticeSumSpec(1, 0, X, 1.5, 2)
@@ -117,14 +123,45 @@ class TestProgressionInt64Path:
         LatticeSumSpec(3, 1, 1000.5, 0.5, 2),
         # X^3 < 2^63, but X^3 - x^3 reaches 2 X^3 > 2^63 at x near -X
         LatticeSumSpec(100_003, 5, 2_000_000, 1.5, 3),
-        # x is small, but q h is near 10^19 for a residue that far out
-        LatticeSumSpec(10, 3 - 10**19, 1000, 1.5, 2),
+        # x is small, but the step q near 10^19 does not fit in int64
+        LatticeSumSpec(10**19, 3 - 10**19, 1000, 1.5, 2),
     ])
     def test_guard_failures_take_the_python_int_loop(self, monkeypatch, spec):
-        calls = self._spy_on_arange(monkeypatch)
+        calls = _spy_on_arange(monkeypatch)
         for variant in eulermac.VARIANTS:
             got = eulermac.progression_power_sum(spec, variant)
             assert got.hex() == direct_progression_power_sum(spec, variant).hex()
+        assert calls == []
+
+
+class TestLatticeLeaves:
+    # theta = 0 counts the points, and every window below holds leaf
+    # bases below zero: skipping them and clamping them to 0 differ there.
+    CASES = ((3, (1, 2), 40), (5, (0, 4), 37), (4, (1, 2, 3), 12), (2, (1, 0, 1), 9))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("variant", eulermac.VARIANTS)
+    @pytest.mark.parametrize("leaf", ["int64", "python"])
+    def test_leaf_bit_identical_to_python_int_loop(self, monkeypatch, k, variant, leaf):
+        calls = _spy_on_arange(monkeypatch)
+        monkeypatch.setattr(eulermac, "_CHUNK", 5)  # several blocks per leaf
+        for q, rs, X in self.CASES:
+            if leaf == "python":
+                X = Fraction(2 * X + 1, 2)
+            for theta in (0.0, 1 / 3, 1.5):
+                spec = LatticeSumSpec(q, rs, X, theta, k)
+                got = eulermac.lattice_power_sum(spec, variant)
+                assert got.hex() == direct_lattice_power_sum(spec, variant).hex()
+        assert bool(calls) == (leaf == "int64")
+
+    def test_bound_covers_every_coordinate(self, monkeypatch):
+        # X^3 < 2^63, but at x_1 near -X the budget X^3 - x_1^3 - x_2^3
+        # reaches 3 X^3 > 2^63: only the Python-int leaf is exact here
+        calls = _spy_on_arange(monkeypatch)
+        spec = LatticeSumSpec(400_009, (5, 7), 1_600_000, 1.5, 3)
+        for variant in eulermac.VARIANTS:
+            got = eulermac.lattice_power_sum(spec, variant)
+            assert got.hex() == direct_lattice_power_sum(spec, variant).hex()
         assert calls == []
 
 

@@ -178,23 +178,24 @@ class TestInversion:
 class TestResidualTable:
     def test_definition_of_first_residual(self):
         k, s, Q = 2, 9, 30
-        records = oracle.residual_table(k, s, 0, 500, 510, Q)
+        res = oracle.residual_table(k, s, 0, 500, 510, Q)
         table = oracle.count_representations(k, s, 510)
-        for rec in records:
-            coeffs = expansion.coefficients_even(s, 0, rec.n, k, Q)
-            pred = expansion.evaluate_expansion(rec.n, coeffs)
-            assert rec.exact == table[rec.n]
-            assert rec.predicted[0] == pytest.approx(pred, rel=1e-9)
-            assert rec.residuals[0] == pytest.approx(rec.exact - pred, rel=1e-9)
+        for n, exact, pred0, resid0 in zip(res.ns.tolist(), res.exact,
+                                           res.predicted[0], res.residuals[0]):
+            coeffs = expansion.coefficients_even(s, 0, n, k, Q)
+            pred = expansion.evaluate_expansion(n, coeffs)
+            assert exact == table[n]
+            assert pred0 == pytest.approx(pred, rel=1e-9)
+            assert resid0 == pytest.approx(exact - pred, rel=1e-9)
 
     def test_cumulative_predictions_odd_k(self):
-        records = oracle.residual_table(3, 13, 1, 1000, 1010, 40)
-        for rec in records:
-            coeffs = expansion.coefficients_odd(13, 1, rec.n, 3, 40)
-            manual0 = coeffs.coefficients[0] * rec.n ** (13 / 3 - 1)
-            manual1 = manual0 + coeffs.coefficients[1] * rec.n ** (12 / 3 - 1)
-            assert rec.predicted[0] == pytest.approx(manual0, rel=1e-9)
-            assert rec.predicted[1] == pytest.approx(manual1, rel=1e-9)
+        res = oracle.residual_table(3, 13, 1, 1000, 1010, 40)
+        for n, pred0, pred1 in zip(res.ns.tolist(), *res.predicted):
+            coeffs = expansion.coefficients_odd(13, 1, n, 3, 40)
+            manual0 = coeffs.coefficients[0] * n ** (13 / 3 - 1)
+            manual1 = manual0 + coeffs.coefficients[1] * n ** (12 / 3 - 1)
+            assert pred0 == pytest.approx(manual0, rel=1e-9)
+            assert pred1 == pytest.approx(manual1, rel=1e-9)
 
     def test_rejects_mismatched_table(self):
         table = oracle.count_representations(2, 3, 50)
@@ -222,13 +223,7 @@ class TestResidualTable:
 
     def test_length_and_records(self):
         res = oracle.residual_table(3, 13, 2, 1000, 1040, 40)
-        records = list(res)
-        assert len(res) == len(records) == 41
-        for i, rec in enumerate(records):
-            assert rec == oracle.ResidualRecord(
-                1000 + i, res.exact[i], tuple(res.predicted[:, i].tolist()),
-                tuple(res.residuals[:, i].tolist()))
-            assert type(rec.n) is int and type(rec.predicted[0]) is float
+        assert len(res) == len(res.ns) == 41
 
 
 class TestExports:
