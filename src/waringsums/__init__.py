@@ -1,5 +1,3 @@
 """Exponential sums, singular series, and asymptotics for sums of k-th powers."""
 
 __version__ = "0.1.0"
-
-from . import arith, eulermac, expansion, expsums, oracle, series  # noqa: F401

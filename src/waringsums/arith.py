@@ -7,13 +7,13 @@ and the partition machinery for derivatives of composite functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 __all__ = [
-    "BernoulliTable",
     "bernoulli_numbers",
     "bernoulli_polynomial",
     "periodic_bernoulli",
@@ -24,29 +24,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Exact Bernoulli numbers B_0..B_K (convention B_1 = -1/2)."""
-
-    values: tuple
-
-    @property
-    def max_index(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, kappa: int) -> Fraction:
-        return self.values[kappa]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def bernoulli_numbers(K: int) -> BernoulliTable:
-    """Bernoulli numbers B_0..B_K as exact Fractions.
+@functools.cache
+def bernoulli_numbers(K: int) -> Tuple[Fraction, ...]:
+    """Bernoulli numbers B_0..B_K (convention B_1 = -1/2) as exact Fractions.
 
     Uses the binomial recurrence: B_0 = 1, B_1 = -1/2, and for kappa >= 2
     the vanishing of sum_{j=1}^{kappa} C(kappa, j) B_{kappa-j} determines
-    each new entry.  Odd entries beyond B_1 come out exactly zero.
+    each new entry.  Odd entries beyond B_1 come out exactly zero.  The
+    tuple is computed on first use and kept per K: the Euler-Maclaurin
+    remainder reads it at every quadrature point.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
@@ -60,29 +46,18 @@ def bernoulli_numbers(K: int) -> BernoulliTable:
         for j in range(2, m + 1):
             acc += math.comb(m, j) * values[m - j]
         values.append(-acc / m)
-    return BernoulliTable(tuple(values))
-
-
-_CACHE_SEED = 64
-_table_cache = bernoulli_numbers(_CACHE_SEED)
-
-
-def _bernoulli_cached(kappa: int) -> Fraction:
-    global _table_cache
-    if kappa > _table_cache.max_index:
-        _table_cache = bernoulli_numbers(max(kappa, 2 * _table_cache.max_index))
-    return _table_cache[kappa]
+    return tuple(values)
 
 
 def bernoulli_polynomial(kappa: int, x: float) -> float:
     """B_kappa(x) = sum_j C(kappa, j) B_{kappa-j} x^j, evaluated in floats."""
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
-    _bernoulli_cached(kappa)
+    table = bernoulli_numbers(kappa)
     # Horner order over ascending powers keeps the small-|x| case stable.
     acc = 0.0
     for j in range(kappa, -1, -1):
-        acc = acc * x + math.comb(kappa, j) * float(_table_cache[kappa - j])
+        acc = acc * x + math.comb(kappa, j) * float(table[kappa - j])
     return acc
 
 

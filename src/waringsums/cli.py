@@ -97,6 +97,9 @@ def _load_config(path: str) -> dict:
     return values
 
 
+_ON, _OFF = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
 def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
                   argv: Sequence[str]) -> argparse.Namespace:
     """Re-parse argv with the config file's values as the sub-command's
@@ -114,7 +117,10 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
                          f"{args.config}; allowed: {', '.join(sorted(options))}")
     for key, raw in values.items():
         if options[key].nargs == 0:  # an on/off flag such as --json
-            values[key] = raw.lower() in ("1", "true", "yes", "on")
+            if raw.lower() not in _ON + _OFF:
+                raise ValueError(f"config key {key} needs one of "
+                                 f"{'/'.join(_ON + _OFF)}, got {raw!r}")
+            values[key] = raw.lower() in _ON
     # argparse converts a string default with the option's type when the
     # option is absent, exactly as if the value had been given on the line.
     sub.set_defaults(**values)
@@ -230,8 +236,9 @@ def _cmd_em_verify(args) -> int:
 
     def one(x: int):
         spec = eulermac.LatticeSumSpec(args.q, args.r, x, args.theta, args.k, args.N)
-        direct = eulermac.progression_power_sum(spec, args.variant)
+        # the asymptotic validates N and the variant, so it runs first
         main, psi, scale = eulermac.progression_power_sum_asymptotic(spec, args.variant)
+        direct = eulermac.progression_power_sum(spec, args.variant)
         return direct, main, psi, (direct - main - psi) / scale
 
     direct, main, psi, error = zip(*map(one, xs))

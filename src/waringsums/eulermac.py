@@ -30,10 +30,10 @@ from typing import Callable, Iterator, Sequence, Tuple, Union
 import numpy as np
 
 from .arith import bernoulli_polynomial, log_gamma, periodic_bernoulli
+from .series import integer_kth_root
 
 __all__ = [
     "LatticeSumSpec",
-    "SymmetricBernoulliValue",
     "QuadratureError",
     "progression_power_sum",
     "progression_power_sum_asymptotic",
@@ -176,9 +176,12 @@ def lattice_power_sum(spec: LatticeSumSpec, variant: str = "two_sided") -> float
     """sum of (X^k - x_1^k - ... - x_l^k)^theta over x_i = r_i mod q in
     the variant's window, subject to sum x_i^k <= X^k.
 
-    The last coordinate runs in blocks of _CHUNK points, in int64 when
-    the bound below holds and over Python ints otherwise; a negative base
-    is skipped by an exact comparison, and the int64 -> float64 cast
+    Where x^k grows with |x| (even k, or the positive variant) each
+    coordinate's window stops at the exact k-th root of its budget, so
+    no base formed is negative; odd-k two-sided sums scan the whole
+    window and skip a negative base by an exact comparison.  The last
+    coordinate runs in blocks of _CHUNK points, in int64 when the bound
+    below holds and over Python ints otherwise; the int64 -> float64 cast
     rounds like float(int), so both leaves give the same terms.  Cost
     grows as (X/q)^l; meant for desk-scale l <= 3.
     """
@@ -210,17 +213,19 @@ def lattice_power_sum(spec: LatticeSumSpec, variant: str = "two_sided") -> float
             yield [fb**theta for fb in fbs]
 
     def blocks(depth: int, remaining) -> Iterator[list]:
-        xs = range(lower + (rs[depth] - lower) % q, P + 1, q)
+        lo, hi = lower, P
+        if can_prune:
+            # x^k grows with |x| here, so only |x| <= floor(remaining)^(1/k)
+            # keeps a base >= 0; at depth 0 that root is P itself.
+            budget = math.floor(remaining)
+            root = integer_kth_root(budget, k) if budget >= 1 else 0
+            lo, hi = max(lower, -root), min(P, root)
+        xs = range(lo + (rs[depth] - lo) % q, hi + 1, q)
         if depth == l - 1:
             yield from leaf(remaining, xs)
             return
         for x in xs:
-            nxt = remaining - x**k
-            if can_prune and nxt < 0:
-                if x >= 0:
-                    break  # later x in the ascending scan only sink deeper
-                continue
-            yield from blocks(depth + 1, nxt)
+            yield from blocks(depth + 1, remaining - x**k)
 
     return math.fsum(itertools.chain.from_iterable(blocks(0, Xk)))
 
@@ -248,24 +253,16 @@ def lattice_power_sum_asymptotic(
     _check_order(N, theta, cap=k + 1)
     terms = []
     for m in range(l + 1):
-        b_m = symmetric_bernoulli(q, rs, m).value
+        b_m = symmetric_bernoulli(q, rs, m)
         terms.append(
             xkt * _gamma_ratio(theta, k, l - m) * b_m * (X / q) ** (l - m)
         )
     return tuple(terms), error_scale
 
 
-@dataclass(frozen=True)
-class SymmetricBernoulliValue:
-    """sigma_m evaluated at the first periodic Bernoulli values
-    B_1({-r_i/q}); order -1 is 0 and order 0 is 1 by convention."""
-
-    m: int
-    value: float
-
-
-def symmetric_bernoulli(q: int, rs: Sequence[int], m: int) -> SymmetricBernoulliValue:
-    """Elementary symmetric polynomial of (B_1({-r_1/q}), ..., B_1({-r_l/q})).
+def symmetric_bernoulli(q: int, rs: Sequence[int], m: int) -> float:
+    """Elementary symmetric polynomial sigma_m of (B_1({-r_1/q}), ...,
+    B_1({-r_l/q})); order -1 is 0 and order 0 is 1 by convention.
 
     Evaluated by the stable ascending recurrence for elementary symmetric
     polynomials rather than root expansion.
@@ -274,13 +271,13 @@ def symmetric_bernoulli(q: int, rs: Sequence[int], m: int) -> SymmetricBernoulli
     if not -1 <= m <= l:
         raise ValueError(f"need -1 <= m <= {l}, got {m}")
     if m == -1:
-        return SymmetricBernoulliValue(-1, 0.0)
+        return 0.0
     ys = [periodic_bernoulli(1, -ri / q) for ri in rs]
     esp = [1.0] + [0.0] * m
     for i, y in enumerate(ys):
         for j in range(min(i + 1, m), 0, -1):
             esp[j] += y * esp[j - 1]
-    return SymmetricBernoulliValue(m, esp[m])
+    return esp[m]
 
 
 def _adaptive_simpson(

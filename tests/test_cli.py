@@ -4,12 +4,15 @@ import importlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from waringsums import cli, expansion, oracle, series
+from waringsums import cli, eulermac, expansion, oracle, series
 from waringsums.series import TruncationSpec
 
 
@@ -315,6 +318,18 @@ class TestExperimentCommands:
         assert rows[0] == "X,direct,main,psi,scaled_error"
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("argv", [
+        "em-verify --k 3 --theta 1.5 --q 1 --r 0 --N 5 --X 40000000",
+        "em-verify --k 2 --theta 1.5 --q 1 --r 0 --variant positive --X 40000000",
+    ])
+    def test_em_verify_refuses_before_the_direct_sum(self, monkeypatch, capsys, argv):
+        def direct_sum(*args):
+            raise AssertionError("the direct sum ran")
+
+        monkeypatch.setattr(eulermac, "progression_power_sum", direct_sum)
+        assert cli.run(argv.split()) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_thm14_rows(self, tmp_path):
         code, text = run_to_file(
             tmp_path,
@@ -429,6 +444,18 @@ class TestOutputModes:
                         "--seed", "4"]) == 2
         assert cli.run(["selftest", "--seed", "4", "-o", str(tmp_path / "s.csv")]) == 0
 
+    def test_config_on_off_value_must_be_spelled_out(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        argv = ["oracle", "--k", "2", "--s", "2", "--n-max", "10", "--config", str(cfg)]
+        cfg.write_text("signed = ture\n")
+        assert cli.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "signed" in err and "'ture'" in err
+        for value, shown in (("off", "signed=0"), ("OFF", "signed=0"), ("On", "signed=1")):
+            cfg.write_text(f"signed = {value}\n")
+            assert cli.run(argv) == 0
+            assert shown in capsys.readouterr().out
+
     def test_config_key_must_be_a_declared_option(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("handler = 3\n")
@@ -463,3 +490,24 @@ def test_tracer_targets_resolve():
     kw = dict(counts=oracle.count_representations(2, 9, 130))
     assert attrs["oracle", "residual_table"](oracle.residual_table(*args, **kw), *args,
                                              **kw) == 31
+
+
+def _fresh_interpreter(code: str) -> str:
+    """stdout of `python -c code` in a new process, where no test has
+    imported or called anything yet."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_importing_the_cli_computes_no_bernoulli_number():
+    out = _fresh_interpreter("import waringsums.cli as c; "
+                             "print(c.arith.bernoulli_numbers.cache_info().currsize)")
+    assert out.split() == ["0"]
+
+
+def test_importing_series_loads_only_what_it_uses():
+    out = _fresh_interpreter("import sys, waringsums.series; "
+                             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'waringsums'))")
+    assert out.split() == ["waringsums", "waringsums.expsums", "waringsums.series"]

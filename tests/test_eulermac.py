@@ -154,6 +154,22 @@ class TestLatticeLeaves:
                 assert got.hex() == direct_lattice_power_sum(spec, variant).hex()
         assert bool(calls) == (leaf == "int64")
 
+    @pytest.mark.parametrize("variant, k", [("two_sided", 2), ("two_sided", 4),
+                                            ("positive", 2), ("positive", 3)])
+    def test_prunable_windows_form_only_kept_bases(self, monkeypatch, variant, k):
+        # where x^k grows with |x| every window stops at the k-th root of its
+        # budget, so each base formed is kept: at theta = 0 the number of
+        # bases formed is the sum itself
+        calls = _spy_on_arange(monkeypatch)
+        for q, rs, X in self.CASES + ((1, (0, 0), 25), (1, (0, 0, 0), 9)):
+            calls.clear()
+            kept = eulermac.lattice_power_sum(LatticeSumSpec(q, rs, X, 0.0, k), variant)
+            assert sum(len(range(*a)) for a in calls) == kept > 0
+            for theta in (1 / 3, 1.5):
+                spec = LatticeSumSpec(q, rs, X, theta, k)
+                got = eulermac.lattice_power_sum(spec, variant)
+                assert got.hex() == direct_lattice_power_sum(spec, variant).hex()
+
     def test_bound_covers_every_coordinate(self, monkeypatch):
         # X^3 < 2^63, but at x_1 near -X the budget X^3 - x_1^3 - x_2^3
         # reaches 3 X^3 > 2^63: only the Python-int leaf is exact here
@@ -262,7 +278,9 @@ class TestLatticeSums:
             variant = str(rng.choice(["two_sided", "positive"]))
             one = LatticeSumSpec(q, (r,), X, theta, k)
             scalar = LatticeSumSpec(q, r, X, theta, k)
-            assert eulermac.lattice_power_sum(one, variant) == eulermac.progression_power_sum(scalar, variant)
+            want = direct_progression_power_sum(scalar, variant).hex()
+            assert eulermac.lattice_power_sum(one, variant).hex() == want
+            assert eulermac.progression_power_sum(scalar, variant).hex() == want
 
     def test_disk_lattice_point_count(self):
         X = 20.5
@@ -344,16 +362,16 @@ class TestLatticeSums:
 
 class TestSymmetricBernoulli:
     def test_order_zero_is_one(self):
-        assert eulermac.symmetric_bernoulli(7, (1, 2, 3), 0).value == 1.0
+        assert eulermac.symmetric_bernoulli(7, (1, 2, 3), 0) == 1.0
 
     def test_convention_minus_one(self):
-        assert eulermac.symmetric_bernoulli(7, (1, 2), -1).value == 0.0
+        assert eulermac.symmetric_bernoulli(7, (1, 2), -1) == 0.0
 
     def test_half_residue_vanishes(self):
-        assert eulermac.symmetric_bernoulli(2, (1,), 1).value == pytest.approx(0.0)
+        assert eulermac.symmetric_bernoulli(2, (1,), 1) == pytest.approx(0.0)
 
     def test_pair_of_zero_residues(self):
-        assert eulermac.symmetric_bernoulli(1, (0, 0), 2).value == pytest.approx(0.25)
+        assert eulermac.symmetric_bernoulli(1, (0, 0), 2) == pytest.approx(0.25)
 
     def test_against_product_expansion(self):
         import itertools
@@ -364,7 +382,7 @@ class TestSymmetricBernoulli:
             want = math.fsum(
                 math.prod(c) for c in itertools.combinations(ys, m)
             )
-            got = eulermac.symmetric_bernoulli(q, rs, m).value
+            got = eulermac.symmetric_bernoulli(q, rs, m)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_out_of_range(self):
