@@ -21,15 +21,15 @@ quadrature.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
 from .arith import bernoulli_polynomial, log_gamma, periodic_bernoulli
+from .expsums import ExactSum
 from .series import integer_kth_root
 
 __all__ = [
@@ -74,8 +74,8 @@ class LatticeSumSpec:
             raise ValueError("k must be >= 2")
         if not self.X > 0:
             raise ValueError("X must be positive")
-        if self.theta < 0:
-            raise ValueError("theta must be >= 0")
+        if not (math.isfinite(self.theta) and self.theta >= 0):
+            raise ValueError(f"theta must be finite and >= 0, got {self.theta}")
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if self.r == ():
@@ -172,6 +172,23 @@ def progression_power_sum_asymptotic(
     return main, xkt * psi, error_scale
 
 
+def _powers(fb: np.ndarray, theta: float) -> np.ndarray:
+    """fb ** theta for bases fb >= 0, by the term rule: theta = 0, 1/2, 1
+    and 3/2 give 1, sqrt(fb), fb and fb * sqrt(fb) from correctly rounded
+    IEEE operations alone, so the bits do not depend on the CPU (those of
+    np.power do); every other theta is Python's pow, term by term."""
+    if theta == 0:
+        return np.ones_like(fb)
+    if theta == 0.5:
+        return np.sqrt(fb)
+    if theta == 1:
+        return fb
+    if theta == 1.5:
+        with np.errstate(over="ignore"):  # ExactSum refuses an infinite term
+            return fb * np.sqrt(fb)
+    return np.array([b**theta for b in fb.tolist()], dtype=np.float64)
+
+
 def lattice_power_sum(spec: LatticeSumSpec, variant: str = "two_sided") -> float:
     """sum of (X^k - x_1^k - ... - x_l^k)^theta over x_i = r_i mod q in
     the variant's window, subject to sum x_i^k <= X^k.
@@ -182,8 +199,12 @@ def lattice_power_sum(spec: LatticeSumSpec, variant: str = "two_sided") -> float
     window and skip a negative base by an exact comparison.  The last
     coordinate runs in blocks of _CHUNK points, in int64 when the bound
     below holds and over Python ints otherwise; the int64 -> float64 cast
-    rounds like float(int), so both leaves give the same terms.  Cost
-    grows as (X/q)^l; meant for desk-scale l <= 3.
+    rounds like float(int), so both leaves give the same float64 bases.
+    Each block's terms come from one rule (_powers: sqrt-based at theta =
+    1/2 and 3/2, Python's pow at theta outside {0, 1/2, 1, 3/2}) and go
+    into one ExactSum, so the value is math.fsum of the terms, bit for
+    bit, with one block held at a time.  Cost grows as (X/q)^l; meant for
+    desk-scale l <= 3.
     """
     _check_variant(variant)
     rs = spec.residues
@@ -198,7 +219,9 @@ def lattice_power_sum(spec: LatticeSumSpec, variant: str = "two_sided") -> float
     # partial budget and leaf base lies within +-(X^k + l P^k).
     fits = exact_int and max(P + q, Xk + l * P**k) < 2**63
 
-    def leaf(remaining, xs: range) -> Iterator[list]:
+    total = ExactSum()
+
+    def leaf(remaining, xs: range) -> None:
         for i in range(0, len(xs), _CHUNK):
             block = xs[i : i + _CHUNK]
             if fits:
@@ -207,12 +230,13 @@ def lattice_power_sum(spec: LatticeSumSpec, variant: str = "two_sided") -> float
                 for _ in range(k - 1):
                     xk *= x
                 bases = remaining - xk
-                fbs = bases[bases >= 0].astype(np.float64).tolist()
+                fb = bases[bases >= 0].astype(np.float64)
             else:
-                fbs = [float(b) for b in (remaining - x**k for x in block) if b >= 0]
-            yield [fb**theta for fb in fbs]
+                fb = np.array([float(b) for b in (remaining - x**k for x in block)
+                               if b >= 0], dtype=np.float64)
+            total.add(_powers(fb, theta))
 
-    def blocks(depth: int, remaining) -> Iterator[list]:
+    def walk(depth: int, remaining) -> None:
         lo, hi = lower, P
         if can_prune:
             # x^k grows with |x| here, so only |x| <= floor(remaining)^(1/k)
@@ -222,12 +246,13 @@ def lattice_power_sum(spec: LatticeSumSpec, variant: str = "two_sided") -> float
             lo, hi = max(lower, -root), min(P, root)
         xs = range(lo + (rs[depth] - lo) % q, hi + 1, q)
         if depth == l - 1:
-            yield from leaf(remaining, xs)
+            leaf(remaining, xs)
             return
         for x in xs:
-            yield from blocks(depth + 1, remaining - x**k)
+            walk(depth + 1, remaining - x**k)
 
-    return math.fsum(itertools.chain.from_iterable(blocks(0, Xk)))
+    walk(0, Xk)
+    return total.value()
 
 
 def lattice_power_sum_asymptotic(

@@ -6,6 +6,10 @@ accumulated power error even for moduli near 1e5.  The batch evaluator
 bins residues into a histogram and applies one length-q discrete Fourier
 transform, giving all residues a in O(q log q).
 
+ExactSum is the package's one exact reduction over numpy terms: it bins
+values by exponent as they arrive and rounds the exact total once, bit
+for bit as math.fsum of the same terms would.
+
 Nothing is memoized, and every array returned is the caller's own: the
 walks in `series` visit each modulus once per evaluation, so no (q, k)
 recurs for a cache to serve.
@@ -24,6 +28,7 @@ __all__ = [
     "weighted_sum",
     "weighted_sum_augmented",
     "coprime_residues",
+    "ExactSum",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -31,6 +36,65 @@ TWO_PI = 2.0 * math.pi
 # The largest modulus with exact int64 residues: both factors of res * r in
 # power_residues are at most q - 1, and (q - 1)^2 < 2^63 exactly up to here.
 MAX_MODULUS = 3_037_000_500
+
+_LOW_BITS = np.uint64((1 << 26) - 1)  # mantissa bits moved into the remainder
+_BATCH = 1 << 25  # values per pass of the bins; up to this many every bin sum is exact
+_HOLD = 4096  # small inputs are held until this many can be binned in one pass
+
+
+class ExactSum:
+    """A streaming exact sum of float64 arrays: value() is math.fsum of
+    every value added, bit for bit, without keeping the values.
+
+    Values are held until _HOLD of them can be binned at once.  Binning
+    splits each value v by its bits into hi, v with the low 26 mantissa
+    bits cleared, and the exact remainder v - hi, and adds both into bins
+    indexed by v's 11-bit exponent field (the binning of Neal,
+    arXiv:1505.05571).  In the bin of ulp u every hi is a multiple of
+    2^26 u below 2^53 u and every remainder a multiple of u below 2^26 u,
+    so up to 2^25 of them sum exactly in any order; the bins are set
+    aside every _BATCH values.  value() is math.fsum over the bins and
+    the held values, the correctly rounded exact total.  A value, or a
+    total, that is not finite raises OverflowError there, as fsum's
+    intermediate overflow does.
+    """
+
+    def __init__(self):
+        self._held, self._held_size = [], 0
+        self._bins = np.zeros(4096)  # hi parts by exponent, then remainders
+        self._room = _BATCH
+        self._full = []
+
+    def add(self, values) -> ExactSum:
+        # a copy: the caller may reuse its array while the values are held
+        self._held.append(np.array(values, dtype=np.float64).ravel())
+        self._held_size += self._held[-1].size
+        if self._held_size >= _HOLD:
+            self._bin(np.concatenate(self._held))
+            self._held, self._held_size = [], 0
+        return self
+
+    def _bin(self, v: np.ndarray) -> None:
+        while v.size:
+            if not self._room:
+                self._full.append(self._bins[self._bins != 0])
+                self._bins, self._room = np.zeros(4096), _BATCH
+            part, v = v[: self._room], v[self._room :]
+            self._room -= part.size
+            bits = part.view(np.uint64)
+            hi = (bits & ~_LOW_BITS).view(np.float64)
+            exponent = (bits >> np.uint64(52)).astype(np.intp) & 0x7FF
+            # a value that is not finite, or a bin that overflows, leaves a
+            # bin that is not finite, and value() refuses it
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.add.at(self._bins, exponent, hi)
+                np.add.at(self._bins, exponent + 2048, part - hi)
+
+    def value(self) -> float:
+        parts = np.concatenate([*self._full, self._bins[self._bins != 0], *self._held])
+        if not np.isfinite(parts).all():
+            raise OverflowError("exact sum is not finite")
+        return math.fsum(parts.tolist())
 
 
 @dataclass(frozen=True)
@@ -88,15 +152,20 @@ def _phases(q: int, exponents: np.ndarray) -> np.ndarray:
     return np.exp(1j * (TWO_PI * (exponents / q)))
 
 
-def _fsum_complex(values: np.ndarray) -> complex:
-    return complex(math.fsum(values.real), math.fsum(values.imag))
+def _point_value(q: int, a: int, k: int, weighted: bool) -> ExpSumValue:
+    """sum_{r=1}^{q} w(r) e(a r^k / q), with w = 1 or the weights of T;
+    the real and imaginary parts are each summed exactly."""
+    _validate(q, k)
+    terms = _phases(q, (int(a) % q) * power_residues(q, k) % q)
+    if weighted:
+        terms = _weights(q) * terms
+    return ExpSumValue(complex(ExactSum().add(terms.real).value(),
+                               ExactSum().add(terms.imag).value()), q, a, k)
 
 
 def complete_sum(q: int, a: int, k: int) -> ExpSumValue:
     """S = sum_{r=1}^{q} e(a r^k / q), e(z) = exp(2 pi i z)."""
-    _validate(q, k)
-    residues = (int(a) % q) * power_residues(q, k) % q
-    return ExpSumValue(_fsum_complex(_phases(q, residues)), q, a, k)
+    return _point_value(q, a, k, weighted=False)
 
 
 def _weights(q: int) -> np.ndarray:
@@ -110,9 +179,7 @@ def weighted_sum(q: int, a: int, k: int) -> ExpSumValue:
     Identically -1/2 for even k: the substitution r -> q - r flips the
     weight's sign while fixing the phase, forcing T = -1 - T.
     """
-    _validate(q, k)
-    residues = (int(a) % q) * power_residues(q, k) % q
-    return ExpSumValue(_fsum_complex(_weights(q) * _phases(q, residues)), q, a, k)
+    return _point_value(q, a, k, weighted=True)
 
 
 def weighted_sum_augmented(q: int, a: int, k: int) -> ExpSumValue:

@@ -8,8 +8,9 @@ conjugates.
 Both evaluation paths walk the moduli q <= Q once per evaluation and
 build every coefficient row they need from one S row (and one T row if
 some j > 0) per q.  The scalar path takes specs sharing k and Q, forms
-each phase vector e(-na/q) once per distinct n, and sums exactly rounded
-(math.fsum), so a value is bit-identical however specs are grouped.  The
+each phase vector e(-na/q) once per distinct n, and adds each modulus's
+terms to an expsums.ExactSum as it goes, keeping none of them: the value
+is math.fsum of all the terms, bit for bit, however specs are grouped.  The
 range path serves a whole range of n: for each q the map n -> partial
 sum depends only on n mod q, so one length-q DFT of each row serves all.
 """
@@ -23,8 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expsums import (MAX_MODULUS, batch_value_pair, batch_values, coprime_residues,
-                      coset_sums)
+from .expsums import (MAX_MODULUS, ExactSum, batch_value_pair, batch_values,
+                      coprime_residues, coset_sums)
 
 __all__ = [
     "TruncationSpec",
@@ -138,20 +139,21 @@ def truncated_series(specs: Sequence[TruncationSpec]) -> list[SeriesValue]:
     k, Q = specs[0].k, specs[0].Q
     orders = {(spec.s, spec.j) for spec in specs}
     _check_walk(k, orders, Q)
-    parts = [[] for _ in specs]
+    sums = [(ExactSum(), ExactSum()) for _ in specs]
+    count = 0
     for q in range(1, Q + 1):
         a, rows = _coefficient_rows(q, k, orders)
+        count += a.size
         # e(-n a / q) = e(m a / q) with m = (-n) mod q; all index math exact.
         phase = {n: np.exp(1j * (2.0 * math.pi * (((-int(n) % q) * a) % q / q)))
                  for n in {spec.n for spec in specs}}
-        for part, spec in zip(parts, specs):
-            part.append(rows[spec.s, spec.j] * phase[spec.n])
-    return [
-        SeriesValue(complex(math.fsum(np.concatenate([t.real for t in part])),
-                            math.fsum(np.concatenate([t.imag for t in part]))),
-                    spec, sum(t.size for t in part), float(np.abs(part[-1]).sum()))
-        for spec, part in zip(specs, parts)
-    ]
+        last = [rows[spec.s, spec.j] * phase[spec.n] for spec in specs]
+        for (re, im), terms in zip(sums, last):
+            re.add(terms.real)
+            im.add(terms.imag)
+    return [SeriesValue(complex(re.value(), im.value()), spec, count,
+                        float(np.abs(terms).sum()))
+            for spec, (re, im), terms in zip(specs, sums, last)]
 
 
 def modified_series_truncated(spec: TruncationSpec) -> SeriesValue:
@@ -232,10 +234,10 @@ def _local_moment(p: int, e: int, k: int, u: int) -> float:
     of p uses its full DFT row."""
     if e == 1:
         values = coset_sums(p, k)
-        return (p - 1) // values.size * math.fsum(np.abs(values / p) ** u)
+        return (p - 1) // values.size * ExactSum().add(np.abs(values / p) ** u).value()
     q = p**e
     mags = np.abs(batch_values(q, k)[coprime_residues(q)]) / q
-    return math.fsum(mags**u)
+    return ExactSum().add(mags**u).value()
 
 
 def power_moment_sum(

@@ -83,6 +83,21 @@ def full_row_power_moment(lo: int, hi: int, u: int, theta: float, k: int) -> flo
     return math.fsum(q**theta * full_row_moment(q, k, u) for q in range(lo, hi))
 
 
+def rule_power(b: float, theta: float) -> float:
+    """b ** theta by the lattice sums' documented term rule, on Python
+    floats: 1, sqrt(b), b and b * sqrt(b) at theta = 0, 1/2, 1 and 3/2,
+    and pow at every other theta."""
+    if theta == 0:
+        return 1.0
+    if theta == 0.5:
+        return math.sqrt(b)
+    if theta == 1:
+        return b
+    if theta == 1.5:
+        return b * math.sqrt(b)
+    return b**theta
+
+
 def direct_progression_power_sum(spec, variant: str) -> float:
     """The one-dimensional lattice sum as a plain loop over Python ints:
     h runs over the closed [-(X+r)/q, (X-r)/q] two-sided and over the
@@ -95,7 +110,7 @@ def direct_progression_power_sum(spec, variant: str) -> float:
         hmin = math.floor(Fraction(-r, q)) + 1
     Xk = int(X) ** spec.k if X.denominator == 1 else X**spec.k
     return math.fsum(
-        max(float(Xk - (q * h + r) ** spec.k), 0.0) ** spec.theta
+        rule_power(max(float(Xk - (q * h + r) ** spec.k), 0.0), spec.theta)
         for h in range(hmin, hmax + 1)
     )
 
@@ -115,7 +130,7 @@ def direct_lattice_power_sum(spec, variant: str) -> float:
     for xs in itertools.product(*windows):
         base = Xk - sum(x**spec.k for x in xs)
         if base >= 0:
-            terms.append(float(base) ** spec.theta)
+            terms.append(rule_power(float(base), spec.theta))
     return math.fsum(terms)
 
 

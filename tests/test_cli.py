@@ -330,6 +330,17 @@ class TestExperimentCommands:
         assert cli.run(argv.split()) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    def test_em_verify_refuses_a_non_finite_theta(self, monkeypatch, capsys, theta):
+        def direct_sum(*args):
+            raise AssertionError("the direct sum ran")
+
+        monkeypatch.setattr(eulermac, "progression_power_sum", direct_sum)
+        argv = f"em-verify --k 2 --theta {theta} --q 11 --r 3 --X 1000".split()
+        assert cli.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "theta" in err
+
     def test_thm14_rows(self, tmp_path):
         code, text = run_to_file(
             tmp_path,

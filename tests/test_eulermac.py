@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (direct_lattice_power_sum, direct_progression_power_sum,
-                      loglog_slope)
+                      loglog_slope, rule_power)
 from waringsums import arith, eulermac
 from waringsums.eulermac import LatticeSumSpec
 
@@ -81,6 +81,9 @@ class TestProgressionDirect:
             LatticeSumSpec(1, 1, 10, -0.5, 2)
         with pytest.raises(ValueError):
             LatticeSumSpec(3, (), 10, 1.0, 2)
+        for theta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="theta"):
+                LatticeSumSpec(11, 3, 1000, theta, 2)
 
 
 def _spy_on_arange(monkeypatch):
@@ -179,6 +182,40 @@ class TestLatticeLeaves:
             got = eulermac.lattice_power_sum(spec, variant)
             assert got.hex() == direct_lattice_power_sum(spec, variant).hex()
         assert calls == []
+
+
+class TestTermRule:
+    @staticmethod
+    def seeded_bases() -> np.ndarray:
+        rng = np.random.default_rng(41)
+        ints = np.concatenate([rng.integers(0, 2**62, 20000), rng.integers(0, 10**6, 5000),
+                               [0, 1, 2, 2**53 - 1, 2**53 + 1, 2**63 - 1]])
+        return ints.astype(np.float64)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.5])
+    def test_sqrt_rule_within_one_ulp_of_pow(self, theta):
+        fb = self.seeded_bases()
+        got = eulermac._powers(fb, theta)
+        want = np.array([b**theta for b in fb.tolist()])
+        # nonnegative finite floats: the distance in ulps is the distance of the bits
+        assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 1
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 1 / 3, 2.5, 2.7])
+    def test_other_exponents_are_pow_exactly(self, theta):
+        fb = self.seeded_bases()
+        assert eulermac._powers(fb, theta).tolist() == [b**theta for b in fb.tolist()]
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 1.5, 1 / 3, 2.5])
+    def test_reference_states_the_same_rule(self, theta):
+        fb = self.seeded_bases()
+        assert (eulermac._powers(fb, theta).tolist()
+                == [rule_power(b, theta) for b in fb.tolist()])
+
+    @pytest.mark.parametrize("X, want", [(4 * 10**6, "0x1.6ade3993cc009p+84"),
+                                         (8 * 10**6, "0x1.6ade3993cc00ap+88")])
+    def test_benchmark_sums_are_pinned(self, X, want):
+        # the two direct sums of the benchmark's tails workload
+        assert eulermac.progression_power_sum(LatticeSumSpec(11, 3, X, 1.5, 2)).hex() == want
 
 
 class TestProgressionAsymptotic:

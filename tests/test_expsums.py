@@ -215,3 +215,74 @@ class TestCoprimeResidues:
             got = expsums.coprime_residues(q)
             assert got.dtype == np.int64
             assert got.tolist() == self.by_gcd(q), q
+
+
+class TestExactSum:
+    """Every value is checked bit for bit against math.fsum of the same terms."""
+
+    @staticmethod
+    def total(*arrays) -> float:
+        acc = expsums.ExactSum()
+        for values in arrays:
+            acc.add(values)
+        return acc.value()
+
+    @staticmethod
+    def seeded_terms(seed: int) -> list:
+        rng = np.random.default_rng(seed)
+        signed = rng.standard_normal(5000) * 1e6
+        # from subnormals (below 2.2e-308) up to 1e300, both signs
+        wide = rng.choice([-1.0, 1.0], 5000) * 10.0 ** rng.uniform(-320, 300, 5000)
+        x = rng.standard_normal(3000) * 10.0 ** rng.integers(-20, 20, 3000)
+        cancelling = np.concatenate([x, -x[::-1]])
+        # one exponent, every mantissa bit set: the largest sums per bin
+        full = np.full(20000, np.nextafter(2.0, 0.0)) * rng.choice([1.0, 2.0**-600], 20000)
+        return [signed, wide, cancelling, full, np.concatenate([signed, wide, full])]
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_bit_equal_to_fsum(self, seed):
+        for terms in self.seeded_terms(seed):
+            assert self.total(terms).hex() == math.fsum(terms.tolist()).hex()
+        assert self.total(self.seeded_terms(seed)[2]).hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_pieces_of_any_size_give_the_same_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        for terms in self.seeded_terms(seed):
+            cuts = np.sort(rng.integers(0, terms.size, int(rng.integers(1, 40))))
+            pieces = np.split(terms, cuts)
+            assert self.total(*pieces).hex() == self.total(terms).hex()
+            assert self.total(*pieces).hex() == math.fsum(terms.tolist()).hex()
+
+    def test_bins_are_set_aside_every_batch(self, monkeypatch):
+        monkeypatch.setattr(expsums, "_HOLD", 1)  # every add is binned at once
+        monkeypatch.setattr(expsums, "_BATCH", 3)
+        for terms in self.seeded_terms(7):
+            terms = terms[::50]
+            acc = expsums.ExactSum()
+            for piece in np.array_split(terms, 9):
+                acc.add(piece)
+            assert len(acc._full) == -(-terms.size // 3) - 1
+            assert acc.value().hex() == math.fsum(terms.tolist()).hex()
+
+    def test_held_values_are_copies(self):
+        buffer = np.array([1.0, 2.0**-60, 3.0])
+        acc = expsums.ExactSum().add(buffer)
+        buffer[:] = 7.0
+        assert acc.add(buffer).value() == math.fsum([1.0, 2.0**-60, 3.0, 7.0, 7.0, 7.0])
+
+    def test_empty_input_sums_to_zero(self):
+        assert expsums.ExactSum().value().hex() == math.fsum([]).hex() == "0x0.0p+0"
+        assert self.total(np.array([])).hex() == "0x0.0p+0"
+        assert self.total([-0.0, -0.0]).hex() == math.fsum([-0.0, -0.0]).hex()
+
+    @pytest.mark.parametrize("hold", [1, 4096])  # binned at once, or held
+    def test_overflow_raises_like_fsum(self, monkeypatch, hold):
+        monkeypatch.setattr(expsums, "_HOLD", hold)
+        with pytest.raises(OverflowError):
+            math.fsum([1e308, 1e308, -1e308])
+        with pytest.raises(OverflowError):
+            self.total([1e308, 1e308, -1e308])
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(OverflowError):
+                self.total([1.0, bad])
