@@ -173,16 +173,10 @@ def progression_power_sum_asymptotic(
 
 
 def _powers(fb: np.ndarray, theta: float) -> np.ndarray:
-    """fb ** theta for bases fb >= 0, by the term rule: theta = 0, 1/2, 1
-    and 3/2 give 1, sqrt(fb), fb and fb * sqrt(fb) from correctly rounded
-    IEEE operations alone, so the bits do not depend on the CPU (those of
-    np.power do); every other theta is Python's pow, term by term."""
-    if theta == 0:
-        return np.ones_like(fb)
-    if theta == 0.5:
-        return np.sqrt(fb)
-    if theta == 1:
-        return fb
+    """fb ** theta for bases fb >= 0, by the term rule: theta = 3/2 gives
+    fb * sqrt(fb), from correctly rounded IEEE operations alone, so the
+    bits do not depend on the CPU (those of np.power do) and lie within
+    1 ulp of pow's; every other theta is Python's pow, term by term."""
     if theta == 1.5:
         with np.errstate(over="ignore"):  # ExactSum refuses an infinite term
             return fb * np.sqrt(fb)
@@ -200,9 +194,9 @@ def lattice_power_sum(spec: LatticeSumSpec, variant: str = "two_sided") -> float
     coordinate runs in blocks of _CHUNK points, in int64 when the bound
     below holds and over Python ints otherwise; the int64 -> float64 cast
     rounds like float(int), so both leaves give the same float64 bases.
-    Each block's terms come from one rule (_powers: sqrt-based at theta =
-    1/2 and 3/2, Python's pow at theta outside {0, 1/2, 1, 3/2}) and go
-    into one ExactSum, so the value is math.fsum of the terms, bit for
+    Each block's terms come from one rule (_powers: fb * sqrt(fb) at
+    theta = 3/2, Python's pow at every other theta) and go into one
+    ExactSum, so the value is math.fsum of the terms, bit for
     bit, with one block held at a time.  Cost grows as (X/q)^l; meant for
     desk-scale l <= 3.
     """

@@ -6,9 +6,10 @@ accumulated power error even for moduli near 1e5.  The batch evaluator
 bins residues into a histogram and applies one length-q discrete Fourier
 transform, giving all residues a in O(q log q).
 
-ExactSum is the package's one exact reduction over numpy terms: it bins
-values by exponent as they arrive and rounds the exact total once, bit
-for bit as math.fsum of the same terms would.
+ExactSum is the package's exact reduction of numpy terms that arrive in
+pieces: it bins values by exponent as they arrive and rounds the exact
+total once, bit for bit as math.fsum of the same terms would.  A sum of
+one array already held in full is math.fsum of its .tolist().
 
 Nothing is memoized, and every array returned is the caller's own: the
 walks in `series` visit each modulus once per evaluation, so no (q, k)
@@ -159,8 +160,8 @@ def _point_value(q: int, a: int, k: int, weighted: bool) -> ExpSumValue:
     terms = _phases(q, (int(a) % q) * power_residues(q, k) % q)
     if weighted:
         terms = _weights(q) * terms
-    return ExpSumValue(complex(ExactSum().add(terms.real).value(),
-                               ExactSum().add(terms.imag).value()), q, a, k)
+    return ExpSumValue(complex(math.fsum(terms.real.tolist()),
+                               math.fsum(terms.imag.tolist())), q, a, k)
 
 
 def complete_sum(q: int, a: int, k: int) -> ExpSumValue:

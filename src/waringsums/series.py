@@ -234,10 +234,10 @@ def _local_moment(p: int, e: int, k: int, u: int) -> float:
     of p uses its full DFT row."""
     if e == 1:
         values = coset_sums(p, k)
-        return (p - 1) // values.size * ExactSum().add(np.abs(values / p) ** u).value()
+        return (p - 1) // values.size * math.fsum((np.abs(values / p) ** u).tolist())
     q = p**e
     mags = np.abs(batch_values(q, k)[coprime_residues(q)]) / q
-    return ExactSum().add(mags**u).value()
+    return math.fsum((mags**u).tolist())
 
 
 def power_moment_sum(

@@ -85,14 +85,7 @@ def full_row_power_moment(lo: int, hi: int, u: int, theta: float, k: int) -> flo
 
 def rule_power(b: float, theta: float) -> float:
     """b ** theta by the lattice sums' documented term rule, on Python
-    floats: 1, sqrt(b), b and b * sqrt(b) at theta = 0, 1/2, 1 and 3/2,
-    and pow at every other theta."""
-    if theta == 0:
-        return 1.0
-    if theta == 0.5:
-        return math.sqrt(b)
-    if theta == 1:
-        return b
+    floats: b * sqrt(b) at theta = 3/2, and pow at every other theta."""
     if theta == 1.5:
         return b * math.sqrt(b)
     return b**theta

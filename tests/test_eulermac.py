@@ -192,15 +192,14 @@ class TestTermRule:
                                [0, 1, 2, 2**53 - 1, 2**53 + 1, 2**63 - 1]])
         return ints.astype(np.float64)
 
-    @pytest.mark.parametrize("theta", [0.5, 1.5])
-    def test_sqrt_rule_within_one_ulp_of_pow(self, theta):
+    def test_sqrt_rule_within_one_ulp_of_pow(self):
         fb = self.seeded_bases()
-        got = eulermac._powers(fb, theta)
-        want = np.array([b**theta for b in fb.tolist()])
+        got = eulermac._powers(fb, 1.5)
+        want = np.array([b**1.5 for b in fb.tolist()])
         # nonnegative finite floats: the distance in ulps is the distance of the bits
         assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 1
 
-    @pytest.mark.parametrize("theta", [0.0, 1.0, 1 / 3, 2.5, 2.7])
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 1 / 3, 2.5, 2.7])
     def test_other_exponents_are_pow_exactly(self, theta):
         fb = self.seeded_bases()
         assert eulermac._powers(fb, theta).tolist() == [b**theta for b in fb.tolist()]
