@@ -1,38 +1,30 @@
 """Exact and special-function arithmetic.
 
-Bernoulli numbers and polynomials over exact rationals, the periodic
-Bernoulli functions, a log-gamma implementation for positive arguments,
-and the partition machinery for derivatives of composite functions.
+Bernoulli numbers over exact rationals, Bernoulli polynomials and the
+periodic Bernoulli functions in floats, and a log-gamma implementation
+for positive arguments.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Tuple
 
 __all__ = [
     "bernoulli_numbers",
     "bernoulli_polynomial",
     "periodic_bernoulli",
     "log_gamma",
-    "FaaDiBrunoTerm",
-    "faa_di_bruno_terms",
-    "compose_nth_derivative",
 ]
 
 
-@functools.cache
 def bernoulli_numbers(K: int) -> Tuple[Fraction, ...]:
     """Bernoulli numbers B_0..B_K (convention B_1 = -1/2) as exact Fractions.
 
     Uses the binomial recurrence: B_0 = 1, B_1 = -1/2, and for kappa >= 2
     the vanishing of sum_{j=1}^{kappa} C(kappa, j) B_{kappa-j} determines
-    each new entry.  Odd entries beyond B_1 come out exactly zero.  The
-    tuple is computed on first use and kept per K: the Euler-Maclaurin
-    remainder reads it at every quadrature point.
+    each new entry.  Odd entries beyond B_1 come out exactly zero.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
@@ -99,85 +91,3 @@ def log_gamma(x: float) -> float:
         acc += _LANCZOS_COEFFS[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
     return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
-
-
-@dataclass(frozen=True)
-class FaaDiBrunoTerm:
-    """One partition term of the N-th derivative of a composition.
-
-    multiplicities (m_1, ..., m_N) satisfy m_1 + 2 m_2 + ... + N m_N = N;
-    coefficient is the exact multinomial weight
-    N! / (m_1! ... m_N!) * prod_j (1/j!)^{m_j}.
-    The outer derivative order used with this term is m_1 + ... + m_N.
-    """
-
-    multiplicities: tuple
-    coefficient: Fraction
-
-    @property
-    def outer_order(self) -> int:
-        return sum(self.multiplicities)
-
-
-def faa_di_bruno_terms(N: int) -> List[FaaDiBrunoTerm]:
-    """All multiplicity vectors (m_1..m_N) with sum j*m_j = N, with weights.
-
-    Enumeration is recursive and emitted in lexicographic order of the
-    multiplicity vector, so output is deterministic.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    n_fact = math.factorial(N)
-    terms: List[FaaDiBrunoTerm] = []
-
-    def recurse(j: int, remaining: int, prefix: List[int]) -> None:
-        if j == N:
-            # m_N is forced by the remaining weight.
-            if remaining % N == 0:
-                m_last = remaining // N
-                build(prefix + [m_last])
-            return
-        for m in range(remaining // j + 1):
-            recurse(j + 1, remaining - j * m, prefix + [m])
-
-    def build(ms: List[int]) -> None:
-        coeff = Fraction(n_fact)
-        for j, m in enumerate(ms, start=1):
-            if m:
-                coeff /= math.factorial(m) * math.factorial(j) ** m
-        terms.append(FaaDiBrunoTerm(tuple(ms), coeff))
-
-    recurse(1, N, [])
-    return terms
-
-
-def compose_nth_derivative(
-    f_derivs: Sequence[Callable[[float], float]],
-    g_derivs: Sequence[Callable[[float], float]],
-    N: int,
-) -> Callable[[float], float]:
-    """N-th derivative of x -> f(g(x)) assembled from the partition terms.
-
-    f_derivs[m] must evaluate f^(m); g_derivs[j] must evaluate g^(j).
-    Requires f_derivs through order N and g_derivs through order N.
-    """
-    terms = faa_di_bruno_terms(N)
-    needed_outer = max(t.outer_order for t in terms)
-    if len(f_derivs) <= needed_outer:
-        raise ValueError(f"need f derivatives through order {needed_outer}")
-    if len(g_derivs) <= N:
-        raise ValueError(f"need g derivatives through order {N}")
-    prepared = [(float(t.coefficient), t.multiplicities, t.outer_order) for t in terms]
-
-    def derivative(x: float) -> float:
-        gx = g_derivs[0](x)
-        total = 0.0
-        for coeff, ms, outer in prepared:
-            prod = coeff * f_derivs[outer](gx)
-            for j, m in enumerate(ms, start=1):
-                if m and prod != 0.0:
-                    prod *= g_derivs[j](x) ** m
-            total += prod
-        return total
-
-    return derivative

@@ -159,8 +159,8 @@ def _cmd_expsum(args) -> int:
     meta = {"subcommand": "expsum", "k": args.k, "q": args.q, "a": args.a}
     if args.a is not None:
         a = [args.a]
-        svals = np.array([expsums.complete_sum(args.q, args.a, args.k).value])
-        tvals = np.array([expsums.weighted_sum(args.q, args.a, args.k).value])
+        svals = np.array([expsums.complete_sum(args.q, args.a, args.k)])
+        tvals = np.array([expsums.weighted_sum(args.q, args.a, args.k)])
     else:
         svals, tvals = expsums.batch_value_pair(args.q, args.k)
         a = np.arange(args.q)
@@ -252,6 +252,12 @@ def _cmd_em_verify(args) -> int:
 def _cmd_thm14(args) -> int:
     qs = _parse_int_list(args.Q)
     ns = [math.factorial(Q) * args.m for Q in qs]
+    # n is printed in full, so refuse one the interpreter cannot print
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    for Q, n in zip(qs, ns):
+        if limit and n >= 10**limit:
+            raise ValueError(f"n = Q!*m at Q={Q}, m={args.m} has more than {limit} "
+                             "digits, the interpreter's limit for printing an integer")
     disc = [series.factorial_multiple_discrepancy(args.s, args.k, Q, args.m, args.trunc)
             for Q in qs]
     meta = {"subcommand": "thm14", "k": args.k, "s": args.s, "m": args.m,
@@ -261,6 +267,8 @@ def _cmd_thm14(args) -> int:
 
 
 def _cmd_thm15(args) -> int:
+    if args.C is not None and not math.isfinite(args.C):
+        raise ValueError(f"C must be finite, got {args.C}")
     qs = _parse_int_list(args.Q)
     mags = series.census_magnitudes(args.s, args.j, args.k, args.x, qs)
     threshold = float(np.median(mags[0])) / 2.0 if args.C is None else args.C
@@ -320,7 +328,7 @@ def _selftest_checks(seed: int):
         for q in qs:
             batch = expsums.batch_values(q, 3)
             for a in range(0, q, max(1, q // 17)):
-                direct = expsums.complete_sum(q, a, 3).value
+                direct = expsums.complete_sum(q, a, 3)
                 if abs(batch[a] - direct) > 1e-9 * q:
                     return f"batch mismatch at (q={q}, a={a})"
         return None

@@ -11,12 +11,9 @@ depends on a float comparison.
 The asymptotic evaluators return the corresponding main terms, the
 boundary correction Psi that appears in the positive variant when k is
 odd, and the scale of the error term, so scaling experiments can check
-|direct - prediction| / error_scale directly.
-
-euler_maclaurin_sum is the generic engine behind those expansions: a sum
-over integers in (a, b] reconstructed from an integral, Bernoulli
-boundary terms, and a remainder integral evaluated by adaptive
-quadrature.
+|direct - prediction| / error_scale directly.  Their Euler-Maclaurin
+boundary terms are written in closed form through the periodic
+Bernoulli functions.
 """
 
 from __future__ import annotations
@@ -24,31 +21,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .arith import bernoulli_polynomial, log_gamma, periodic_bernoulli
+from .arith import log_gamma, periodic_bernoulli
 from .expsums import ExactSum
 from .series import integer_kth_root
 
 __all__ = [
     "LatticeSumSpec",
-    "QuadratureError",
     "progression_power_sum",
     "progression_power_sum_asymptotic",
     "lattice_power_sum",
     "lattice_power_sum_asymptotic",
     "symmetric_bernoulli",
-    "euler_maclaurin_sum",
 ]
 
 VARIANTS = ("two_sided", "positive")
 _CHUNK = 4096  # points of the last coordinate per block in lattice_power_sum
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -297,118 +288,3 @@ def symmetric_bernoulli(q: int, rs: Sequence[int], m: int) -> float:
         for j in range(min(i + 1, m), 0, -1):
             esp[j] += y * esp[j - 1]
     return esp[m]
-
-
-def _adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    abs_tol: float,
-    max_depth: int = 48,
-) -> float:
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-
-    def step(a, m, b, fa, fm, fb, whole, tol, depth):
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
-        right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
-        diff = left + right - whole
-        if abs(diff) <= 15.0 * tol:
-            return left + right + diff / 15.0
-        if depth == 0:
-            raise QuadratureError(
-                f"no convergence on [{a}, {b}] at tolerance {tol:g}"
-            )
-        half = 0.5 * tol
-        return step(a, lm, m, fa, flm, fm, left, half, depth - 1) + step(
-            m, rm, b, fm, frm, fb, right, half, depth - 1
-        )
-
-    return step(a, m, b, fa, fm, fb, whole, abs_tol, max_depth)
-
-
-def _segments(a: float, b: float, split_integers: bool) -> list:
-    points = [a, b]
-    if split_integers:
-        points = [a] + [float(t) for t in range(math.floor(a) + 1, math.ceil(b))] + [b]
-        points = [p for i, p in enumerate(points) if i == 0 or p > points[i - 1]]
-    return list(zip(points[:-1], points[1:]))
-
-
-def _integrate_segments(
-    make_f: Callable[[float, float], Callable[[float], float]],
-    segments: Sequence[Tuple[float, float]],
-    rel_tol: float,
-) -> float:
-    """Adaptive Simpson over prepared segments; make_f(lo, hi) returns the
-    integrand to use on that segment (so piecewise definitions can pick
-    the branch that is smooth up to both endpoints)."""
-    coarse = []
-    fns = []
-    for lo, hi in segments:
-        f = make_f(lo, hi)
-        fns.append(f)
-        mid = 0.5 * (lo + hi)
-        coarse.append(abs((hi - lo) * (f(lo) + 4.0 * f(mid) + f(hi)) / 6.0))
-    scale = max(math.fsum(coarse), 1e-30)
-    tol_per_segment = rel_tol * scale / len(segments)
-    return math.fsum(
-        _adaptive_simpson(f, lo, hi, tol_per_segment)
-        for f, (lo, hi) in zip(fns, segments)
-    )
-
-
-def _integrate(
-    f: Callable[[float], float], a: float, b: float, rel_tol: float = 1e-11
-) -> float:
-    if a == b:
-        return 0.0
-    return _integrate_segments(lambda lo, hi: f, _segments(a, b, False), rel_tol)
-
-
-def euler_maclaurin_sum(
-    derivatives: Sequence[Callable[[float], float]],
-    a: float,
-    b: float,
-    K: int,
-    rel_tol: float = 1e-11,
-) -> Tuple[float, float]:
-    """Reconstruct sum_{a < n <= b} F(n) through order K.
-
-    derivatives[m] must evaluate F^(m) for m = 0..K.  Returns the
-    reconstructed sum together with the raw remainder integral
-    integral_a^b B_K({x}) F^(K)(x) dx (whose signed multiple
-    -(-1)^K / K! is already folded into the first component).
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if not a < b:
-        raise ValueError("need a < b")
-    if len(derivatives) < K + 1:
-        raise ValueError(f"need derivative callables for orders 0..{K}")
-    F = derivatives[0]
-    value = _integrate(F, float(a), float(b), rel_tol)
-    for kappa in range(1, K + 1):
-        sign = -1.0 if kappa % 2 else 1.0
-        value += (sign / math.factorial(kappa)) * (
-            periodic_bernoulli(kappa, b) * derivatives[kappa - 1](b)
-            - periodic_bernoulli(kappa, a) * derivatives[kappa - 1](a)
-        )
-    # B_K({x}) is only piecewise smooth (discontinuous for K = 1) across
-    # integers: split there and evaluate the polynomial in the segment's
-    # local coordinate, so each piece is smooth through its endpoints.
-    def local_form(lo: float, hi: float) -> Callable[[float], float]:
-        base = math.floor(lo)
-        deriv_k = derivatives[K]
-        return lambda x: bernoulli_polynomial(K, x - base) * deriv_k(x)
-
-    remainder = _integrate_segments(
-        local_form, _segments(float(a), float(b), True), rel_tol
-    )
-    sign_k = -1.0 if K % 2 else 1.0
-    value -= (sign_k / math.factorial(K)) * remainder
-    return value, remainder

@@ -29,7 +29,6 @@ __all__ = [
     "coefficients_odd",
     "expansion_partial_sums",
     "evaluate_expansion",
-    "admissibility_threshold",
 ]
 
 
@@ -162,18 +161,3 @@ def evaluate_expansion(n: int, coeffs: ExpansionCoefficients) -> float:
         raise ValueError("n must be >= 1")
     return float(expansion_partial_sums([n], coeffs.s, coeffs.k, coeffs.coefficients)[-1, 0])
 
-
-def admissibility_threshold(k: int, nu: float) -> float:
-    """Sufficient exponent threshold above which s is nu-admissible for k.
-
-    Advisory metadata only: nothing here proves admissibility.
-    """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if nu < 1:
-        raise ValueError(f"nu must be >= 1, got {nu}")
-    if k <= 5:
-        return 2.0**k + 2.0 ** (k - 1) * nu
-    if k <= 7:
-        return 2.0 * k * k - 2.0 + 2.0 ** (k - 1) * (nu - 1.0)
-    return 4.0 * k - 2.0 + 2.0 * k * (k - 2) * nu

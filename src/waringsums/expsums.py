@@ -19,15 +19,12 @@ recurs for a cache to serve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ExpSumValue",
     "complete_sum",
     "weighted_sum",
-    "weighted_sum_augmented",
     "coprime_residues",
     "ExactSum",
 ]
@@ -98,24 +95,6 @@ class ExactSum:
         return math.fsum(parts.tolist())
 
 
-@dataclass(frozen=True)
-class ExpSumValue:
-    """One exponential-sum value at modulus q, numerator a, power k."""
-
-    value: complex
-    q: int
-    a: int
-    k: int
-
-    @property
-    def real(self) -> float:
-        return self.value.real
-
-    @property
-    def imag(self) -> float:
-        return self.value.imag
-
-
 def _validate(q: int, k: int) -> None:
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
@@ -153,18 +132,17 @@ def _phases(q: int, exponents: np.ndarray) -> np.ndarray:
     return np.exp(1j * (TWO_PI * (exponents / q)))
 
 
-def _point_value(q: int, a: int, k: int, weighted: bool) -> ExpSumValue:
+def _point_value(q: int, a: int, k: int, weighted: bool) -> complex:
     """sum_{r=1}^{q} w(r) e(a r^k / q), with w = 1 or the weights of T;
     the real and imaginary parts are each summed exactly."""
     _validate(q, k)
     terms = _phases(q, (int(a) % q) * power_residues(q, k) % q)
     if weighted:
         terms = _weights(q) * terms
-    return ExpSumValue(complex(math.fsum(terms.real.tolist()),
-                               math.fsum(terms.imag.tolist())), q, a, k)
+    return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
 
 
-def complete_sum(q: int, a: int, k: int) -> ExpSumValue:
+def complete_sum(q: int, a: int, k: int) -> complex:
     """S = sum_{r=1}^{q} e(a r^k / q), e(z) = exp(2 pi i z)."""
     return _point_value(q, a, k, weighted=False)
 
@@ -174,25 +152,15 @@ def _weights(q: int) -> np.ndarray:
     return 0.5 - np.arange(1, q + 1, dtype=np.float64) / q
 
 
-def weighted_sum(q: int, a: int, k: int) -> ExpSumValue:
+def weighted_sum(q: int, a: int, k: int) -> complex:
     """T = sum_{r=1}^{q} (1/2 - r/q) e(a r^k / q).
 
     Identically -1/2 for even k: the substitution r -> q - r flips the
-    weight's sign while fixing the phase, forcing T = -1 - T.
+    weight's sign while fixing the phase, forcing T = -1 - T.  For odd k
+    the same pairing conjugates and negates T + 1/2, which is therefore
+    purely imaginary.
     """
     return _point_value(q, a, k, weighted=True)
-
-
-def weighted_sum_augmented(q: int, a: int, k: int) -> ExpSumValue:
-    """The weighted sum extended over r = 0..q, equal to T + 1/2.
-
-    Purely imaginary when k is odd (the r -> q - r pairing conjugates and
-    negates it), which is why even k is rejected.
-    """
-    if k % 2 == 0:
-        raise ValueError("augmented weighted sum requires odd k")
-    t = weighted_sum(q, a, k)
-    return ExpSumValue(t.value + 0.5, q, a, k)
 
 
 def _binned_dft(residues: np.ndarray, q: int, weights=None) -> np.ndarray:

@@ -31,7 +31,6 @@ __all__ = [
     "TruncationSpec",
     "SeriesValue",
     "truncated_series",
-    "singular_series_truncated",
     "modified_series_truncated",
     "series_over_range",
     "series_over_range_orders",
@@ -101,11 +100,6 @@ class TruncationSpec:
         if self.Q < 1:
             raise ValueError(f"Q must be >= 1, got {self.Q}")
 
-    @property
-    def delta_k(self) -> int:
-        """1 when k = 2, else 0."""
-        return 1 if self.k == 2 else 0
-
 
 @dataclass(frozen=True)
 class SeriesValue:
@@ -113,10 +107,6 @@ class SeriesValue:
     spec: TruncationSpec
     term_count: int
     tail_estimate: float = 0.0
-
-    @property
-    def real(self) -> float:
-        return self.value.real
 
 
 def _coefficient_rows(q: int, k: int, orders) -> tuple[np.ndarray, dict]:
@@ -159,13 +149,6 @@ def truncated_series(specs: Sequence[TruncationSpec]) -> list[SeriesValue]:
 def modified_series_truncated(spec: TruncationSpec) -> SeriesValue:
     """sum_{q<=Q} sum_{(a,q)=1} (S(q,a)/q)^(s-j) T(q,a)^j e(-na/q)."""
     return truncated_series([spec])[0]
-
-
-def singular_series_truncated(spec: TruncationSpec) -> SeriesValue:
-    """The classical truncated series; spec must have j = 0."""
-    if spec.j != 0:
-        raise ValueError("classical series requires j = 0")
-    return modified_series_truncated(spec)
 
 
 def _range_walk(k: int, orders, ns: np.ndarray, Qs: Sequence[int]) -> list[np.ndarray]:

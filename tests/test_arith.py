@@ -103,68 +103,3 @@ class TestLogGamma:
             with pytest.raises(ValueError):
                 arith.log_gamma(bad)
 
-
-class TestFaaDiBruno:
-    def test_single_term_order_one(self):
-        terms = arith.faa_di_bruno_terms(1)
-        assert len(terms) == 1
-        assert terms[0].multiplicities == (1,)
-        assert terms[0].coefficient == 1
-
-    def test_order_two(self):
-        by_mult = {t.multiplicities: t.coefficient for t in arith.faa_di_bruno_terms(2)}
-        assert by_mult == {(2, 0): 1, (0, 1): 1}
-
-    def test_order_three(self):
-        by_mult = {t.multiplicities: t.coefficient for t in arith.faa_di_bruno_terms(3)}
-        assert by_mult == {(3, 0, 0): 1, (1, 1, 0): 3, (0, 0, 1): 1}
-
-    def test_weight_constraint_and_count(self):
-        # number of terms is the number of partitions of N
-        partition_counts = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22}
-        for N, p in partition_counts.items():
-            terms = arith.faa_di_bruno_terms(N)
-            assert len(terms) == p
-            for t in terms:
-                assert sum((j + 1) * m for j, m in enumerate(t.multiplicities)) == N
-
-    def test_exponential_of_identity(self):
-        # With all F-derivatives 1, G' = 1 and higher G-derivatives 0, only
-        # the (N, 0, ..., 0) term survives, with coefficient 1.
-        for N in (1, 2, 3, 4, 6):
-            surviving = [
-                t.coefficient
-                for t in arith.faa_di_bruno_terms(N)
-                if all(m == 0 for m in t.multiplicities[1:])
-            ]
-            assert surviving == [1]
-
-    def test_composition_total_derivative(self):
-        # d^N/dx^N exp(x^2) at x = 0.7 against a central finite difference
-        # of high order on exp(x^2) itself.
-        f_derivs = [lambda y: math.exp(y)] * 7
-        g_derivs = [
-            lambda x: x * x,
-            lambda x: 2.0 * x,
-            lambda x: 2.0,
-            lambda x: 0.0,
-            lambda x: 0.0,
-            lambda x: 0.0,
-            lambda x: 0.0,
-        ]
-        x0 = 0.7
-        for N, expected in ((1, None), (2, None), (3, None)):
-            deriv = arith.compose_nth_derivative(f_derivs, g_derivs, N)
-            h = 1e-2
-            stencil = [
-                sum(
-                    (-1) ** i * math.comb(N, i) * math.exp((x0 + (N / 2 - i) * h) ** 2)
-                    for i in range(N + 1)
-                )
-                / h**N
-            ][0]
-            assert deriv(x0) == pytest.approx(stencil, rel=5e-3)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            arith.faa_di_bruno_terms(0)

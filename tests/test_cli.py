@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -137,10 +138,36 @@ class TestWalkValidation:
         "series --k 3 --s 9 --n-min 10 --n-max 5 --Q 10",
         # the default Q = floor(n^(1/3)) has 134 digits
         pytest.param(f"series --k 3 --s 9 --n {10**400}", id="series --n 10**400"),
+        # 1559! has 4301 digits, more than the default int-to-str limit
+        "thm14 --k 3 --s 8 --Q 1559 --trunc 10",
+        "thm15 --k 3 --s 13 --j 1 --x 10 --Q 5 --C nan",
+        "thm15 --k 3 --s 13 --j 1 --x 10 --Q 5 --C inf",
     ])
     def test_rejected_before_the_walk(self, capsys, argv):
         assert cli.run(argv.split()) == 2
-        assert "error" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and "error" in err
+
+    def test_thm14_n_up_to_the_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            argv = "thm14 --k 3 --s 8 --Q 1557,1558 --m 1 --trunc 10".split()
+            assert cli.run(argv) == 0
+            rows = capsys.readouterr().out.splitlines()[3:]
+            assert [len(row.split(",")[1]) for row in rows] == [4297, 4300]
+            assert cli.run(argv[:-4] + ["--m", "7", "--trunc", "10"]) == 2
+            assert "Q=1558, m=7" in capsys.readouterr().err
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_config_C_must_be_finite(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("C = nan\n")
+        argv = "thm15 --k 3 --s 13 --j 1 --x 10 --Q 5 --config".split() + [str(cfg)]
+        assert cli.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "C must be finite" in err
 
 
 class TestExpansionCommand:
@@ -513,12 +540,30 @@ def _fresh_interpreter(code: str) -> str:
 
 
 def test_importing_the_cli_computes_no_bernoulli_number():
-    out = _fresh_interpreter("import waringsums.cli as c; "
-                             "print(c.arith.bernoulli_numbers.cache_info().currsize)")
-    assert out.split() == ["0"]
+    # the functions each profile called; the second is a positive control
+    out = _fresh_interpreter(
+        "import cProfile, pstats\n"
+        "def called(code):\n"
+        "    profile = cProfile.Profile()\n"
+        "    profile.runctx(code, globals(), globals())\n"
+        "    print(sorted(f for p, _, f in pstats.Stats(profile).stats if p.endswith('arith.py')))\n"
+        "called('import waringsums.cli')\n"
+        "called('waringsums.arith.periodic_bernoulli(2, 0.25)')\n")
+    on_import, on_call = out.splitlines()
+    assert "bernoulli_numbers" not in on_import
+    assert "'bernoulli_numbers'" in on_call and "'periodic_bernoulli'" in on_call
 
 
 def test_importing_series_loads_only_what_it_uses():
     out = _fresh_interpreter("import sys, waringsums.series; "
                              "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'waringsums'))")
     assert out.split() == ["waringsums", "waringsums.expsums", "waringsums.series"]
+
+
+@pytest.mark.parametrize("module", sorted(
+    m.name for m in pkgutil.iter_modules(importlib.import_module("waringsums").__path__)))
+def test_every_name_in_all_resolves(module):
+    namespace = {}
+    exec(f"from waringsums.{module} import *", namespace)
+    listed = importlib.import_module(f"waringsums.{module}").__all__
+    assert listed and set(listed) <= set(namespace)

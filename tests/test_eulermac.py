@@ -425,70 +425,3 @@ class TestSymmetricBernoulli:
         with pytest.raises(ValueError):
             eulermac.symmetric_bernoulli(3, (1, 2), 3)
 
-
-class TestEulerMaclaurin:
-    def test_sum_of_integers(self):
-        val, rem = eulermac.euler_maclaurin_sum(
-            [lambda x: x, lambda x: 1.0], 0.0, 20.0, 1
-        )
-        assert val == pytest.approx(210.0, rel=1e-12)
-        assert rem == pytest.approx(0.0, abs=1e-10)
-
-    def test_counts_integers_in_half_open_interval(self):
-        val, _ = eulermac.euler_maclaurin_sum(
-            [lambda x: 1.0, lambda x: 0.0], 0.3, 9.7, 1
-        )
-        assert val == pytest.approx(9.0, abs=1e-9)
-
-    def test_sum_of_cubes(self):
-        val, _ = eulermac.euler_maclaurin_sum(
-            [lambda x: x**3, lambda x: 3 * x**2, lambda x: 6.0 * x], 0.0, 20.0, 2
-        )
-        assert val == pytest.approx(44100.0, rel=1e-9)
-
-    def test_reproduces_progression_sum_via_composed_derivatives(self):
-        # F(y) = y^theta (integer theta), G(x) = X^k - (qx + r)^k; the sum
-        # over (hmin - 1/2, hmax] equals the two-sided progression sum.
-        q, r, X, theta, k, K = 3, 1, 50, 2, 2, 2
-        spec = LatticeSumSpec(q, r, X, float(theta), k)
-        direct = eulermac.progression_power_sum(spec)
-        hmin = math.ceil(Fraction(-(X + r), q))
-        hmax = math.floor(Fraction(X - r, q))
-        f_derivs = [
-            lambda y: y**2,
-            lambda y: 2.0 * y,
-            lambda y: 2.0,
-            lambda y: 0.0,
-        ]
-
-        def g_deriv(j):
-            def g(x):
-                m = q * x + r
-                if j == 0:
-                    return float(X**k) - m**k
-                if j > k:
-                    return 0.0
-                c = math.factorial(k) // math.factorial(k - j)
-                return -c * q**j * m ** (k - j)
-
-            return g
-
-        g_derivs = [g_deriv(j) for j in range(K + 1)]
-        derivs = [lambda x: f_derivs[0](g_derivs[0](x))]
-        for order in range(1, K + 1):
-            derivs.append(arith.compose_nth_derivative(f_derivs, g_derivs, order))
-        val, _ = eulermac.euler_maclaurin_sum(derivs, hmin - 0.5, float(hmax), K)
-        assert val == pytest.approx(direct, rel=1e-8)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            eulermac.euler_maclaurin_sum([lambda x: x], 0.0, 5.0, 1)
-        with pytest.raises(ValueError):
-            eulermac.euler_maclaurin_sum([lambda x: x, lambda x: 1.0], 5.0, 0.0, 1)
-        with pytest.raises(ValueError):
-            eulermac.euler_maclaurin_sum([lambda x: x, lambda x: 1.0], 0.0, 5.0, 0)
-
-    def test_quadrature_failure_is_reported(self):
-        jump = lambda x: -1.0 if x < 0.31 else 1.0
-        with pytest.raises(eulermac.QuadratureError):
-            eulermac._adaptive_simpson(jump, 0.0, 1.0, 1e-14, max_depth=12)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import gauss_legendre
 from waringsums import expansion, series
-from waringsums.eulermac import _integrate
 from waringsums.expansion import ExpansionCoefficients
 from waringsums.series import TruncationSpec
 
@@ -24,20 +24,20 @@ class TestGammaFactor:
 
     def test_quadrature_oracle(self):
         # Gamma(1+1/k)^u / Gamma(u/k) = (u/k) * prod_{i=1}^{u-1}
-        # integral_0^1 (1 - t^k)^(i/k) dt; integrals by adaptive Simpson
+        # integral_0^1 (1 - t^k)^(i/k) dt; integrals by Gauss-Legendre
         # with the singular end substituted smooth.
         u, k = 8, 3
 
         def one_integral(i):
             f = lambda t: (1.0 - t**k) ** (i / k)
-            left = _integrate(f, 0.0, 0.5, rel_tol=1e-12)
+            left = gauss_legendre(f, 0.0, 0.5)
 
             def h(v):
                 w = v**k
                 t = 1.0 - w
                 return (1.0 - t**k) ** (i / k) * k * v ** (k - 1)
 
-            right = _integrate(h, 0.0, 0.5 ** (1.0 / k), rel_tol=1e-12)
+            right = gauss_legendre(h, 0.0, 0.5 ** (1.0 / k))
             return left + right
 
         prod = u / k
@@ -59,7 +59,7 @@ class TestGammaFactor:
 class TestEvenCoefficients:
     def test_leading_term_is_classical_main_factor(self):
         coeffs = expansion.coefficients_even(9, 0, 500, 2, 40)
-        sval = series.singular_series_truncated(TruncationSpec(2, 9, 500, Q=40))
+        sval = series.truncated_series([TruncationSpec(2, 9, 500, Q=40)])[0]
         expect = expansion.gamma_factor(9, 0, 2) * sval.value.real
         assert coeffs.coefficients[0] == pytest.approx(expect, rel=1e-12)
 
@@ -67,7 +67,7 @@ class TestEvenCoefficients:
         # c_1 = -(5/2) * (pi^2/16) * classical(4; n, Q) at k=2, s=5
         n, Q = 33, 25
         coeffs = expansion.coefficients_even(5, 1, n, 2, Q)
-        sval = series.singular_series_truncated(TruncationSpec(2, 4, n, Q=Q))
+        sval = series.truncated_series([TruncationSpec(2, 4, n, Q=Q)])[0]
         expect = -(5 / 2) * (math.pi**2 / 16) * sval.value.real
         assert coeffs.coefficients[1] == pytest.approx(expect, rel=1e-11)
 
@@ -101,7 +101,7 @@ class TestOddCoefficients:
     def test_leading_term_matches_even_shape(self):
         n, Q = 100, 30
         coeffs = expansion.coefficients_odd(13, 0, n, 3, Q)
-        sval = series.singular_series_truncated(TruncationSpec(3, 13, n, Q=Q))
+        sval = series.truncated_series([TruncationSpec(3, 13, n, Q=Q)])[0]
         expect = expansion.gamma_factor(13, 0, 3) * sval.value.real
         assert coeffs.coefficients[0] == pytest.approx(expect, rel=1e-12)
 
@@ -110,9 +110,9 @@ class TestOddCoefficients:
         # approaches -(1/2) C(s,1) gamma * classical(s-1)
         n = math.factorial(5)
         coeffs = expansion.coefficients_odd(13, 1, n, 3, 200)
-        cla = series.singular_series_truncated(
-            TruncationSpec(3, 12, n, Q=200)
-        ).value.real
+        cla = series.truncated_series(
+            [TruncationSpec(3, 12, n, Q=200)]
+        )[0].value.real
         approx = -0.5 * 13 * expansion.gamma_factor(13, 1, 3) * cla
         assert coeffs.coefficients[1] == pytest.approx(approx, rel=0.25)
 
@@ -188,20 +188,3 @@ class TestEvaluateExpansion:
         with pytest.raises(ValueError):
             expansion.evaluate_expansion(0, coeffs)
 
-
-class TestAdmissibilityThreshold:
-    def test_small_k_case(self):
-        assert expansion.admissibility_threshold(2, 1) == 6.0
-
-    def test_middle_case(self):
-        assert expansion.admissibility_threshold(6, 1) == 70.0
-        assert expansion.admissibility_threshold(7, 2) == 2 * 49 - 2 + 64.0
-
-    def test_large_k_case(self):
-        assert expansion.admissibility_threshold(8, 1) == 126.0
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            expansion.admissibility_threshold(1, 1)
-        with pytest.raises(ValueError):
-            expansion.admissibility_threshold(3, 0.5)

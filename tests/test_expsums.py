@@ -9,25 +9,25 @@ from waringsums import expsums
 
 class TestCompleteSum:
     def test_q_one(self):
-        assert expsums.complete_sum(1, 1, 3).value == pytest.approx(1.0)
+        assert expsums.complete_sum(1, 1, 3) == pytest.approx(1.0)
 
     def test_four_term_hand_value(self):
         # r^2 mod 4 over r=1..4 is 1,0,1,0: S = i + 1 + i + 1
-        val = expsums.complete_sum(4, 1, 2).value
+        val = expsums.complete_sum(4, 1, 2)
         assert val == pytest.approx(2 + 2j, abs=1e-14)
 
     def test_two_term_cancellation(self):
-        assert abs(expsums.complete_sum(2, 1, 3).value) <= 1e-15
+        assert abs(expsums.complete_sum(2, 1, 3)) <= 1e-15
 
     @pytest.mark.parametrize("q,a,k", [(5, 2, 2), (9, 4, 3), (12, 7, 4), (30, 11, 5)])
     def test_against_direct(self, q, a, k):
-        assert expsums.complete_sum(q, a, k).value == pytest.approx(
+        assert expsums.complete_sum(q, a, k) == pytest.approx(
             direct_S(q, a, k), abs=1e-12 * q
         )
 
     def test_negative_numerator_reduced_exactly(self):
-        assert expsums.complete_sum(7, -3, 3).value == pytest.approx(
-            expsums.complete_sum(7, 4, 3).value, abs=1e-14
+        assert expsums.complete_sum(7, -3, 3) == pytest.approx(
+            expsums.complete_sum(7, 4, 3), abs=1e-14
         )
 
     def test_conjugation(self):
@@ -36,14 +36,14 @@ class TestCompleteSum:
             q = int(rng.integers(2, 400))
             a = int(rng.integers(1, q))
             k = int(rng.integers(2, 6))
-            lhs = expsums.complete_sum(q, q - a, k).value
-            rhs = expsums.complete_sum(q, a, k).value.conjugate()
+            lhs = expsums.complete_sum(q, q - a, k)
+            rhs = expsums.complete_sum(q, a, k).conjugate()
             assert abs(lhs - rhs) <= 1e-9 * q
 
     def test_magnitude_bound(self):
         for q in (3, 10, 47, 101):
             for a in (1, 2):
-                assert abs(expsums.complete_sum(q, a, 3).value) <= q + 1e-9
+                assert abs(expsums.complete_sum(q, a, 3)) <= q + 1e-9
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -54,10 +54,10 @@ class TestCompleteSum:
 
 class TestWeightedSum:
     def test_q_one(self):
-        assert expsums.weighted_sum(1, 1, 4).value == pytest.approx(-0.5)
+        assert expsums.weighted_sum(1, 1, 4) == pytest.approx(-0.5)
 
     def test_two_term_hand_value(self):
-        assert expsums.weighted_sum(2, 1, 3).value == pytest.approx(-0.5, abs=1e-15)
+        assert expsums.weighted_sum(2, 1, 3) == pytest.approx(-0.5, abs=1e-15)
 
     def test_even_k_collapse_sample(self):
         for q in range(1, 80):
@@ -65,11 +65,11 @@ class TestWeightedSum:
                 for a in range(1, q + 1):
                     if math.gcd(a, q) != 1:
                         continue
-                    assert abs(expsums.weighted_sum(q, a, k).value + 0.5) <= 1e-9
+                    assert abs(expsums.weighted_sum(q, a, k) + 0.5) <= 1e-9
 
     @pytest.mark.parametrize("q,a,k", [(7, 3, 3), (16, 5, 2), (21, 8, 5)])
     def test_against_direct(self, q, a, k):
-        assert expsums.weighted_sum(q, a, k).value == pytest.approx(
+        assert expsums.weighted_sum(q, a, k) == pytest.approx(
             direct_T(q, a, k), abs=1e-12 * q
         )
 
@@ -85,20 +85,17 @@ class TestWeightedSum:
 
 
 class TestAugmentedWeightedSum:
+    # T + 1/2 is the weighted sum extended over r = 0..q
     def test_q_one_vanishes(self):
-        assert abs(expsums.weighted_sum_augmented(1, 1, 3).value) <= 1e-15
+        assert abs(expsums.weighted_sum(1, 1, 3) + 0.5) <= 1e-15
 
     def test_q_two(self):
-        assert abs(expsums.weighted_sum_augmented(2, 1, 3).value) <= 1e-14
+        assert abs(expsums.weighted_sum(2, 1, 3) + 0.5) <= 1e-14
 
     def test_purely_imaginary(self):
-        val = expsums.weighted_sum_augmented(9, 1, 3).value
+        val = expsums.weighted_sum(9, 1, 3) + 0.5
         assert abs(val.real) <= 1e-9 * 9
         assert abs(val.imag) > 1e-3  # the sum itself is not degenerate
-
-    def test_rejects_even_k(self):
-        with pytest.raises(ValueError):
-            expsums.weighted_sum_augmented(5, 2, 4)
 
 
 class TestOddSymmetry:
@@ -107,13 +104,13 @@ class TestOddSymmetry:
             for q in range(1, 60):
                 for a in range(1, q + 1):
                     if math.gcd(a, q) == 1:
-                        val = expsums.complete_sum(q, a, k).value
+                        val = expsums.complete_sum(q, a, k)
                         assert abs(val.imag) <= 1e-9 * q
 
     def test_negation_invariance_odd_k(self):
         for q, a in ((9, 2), (11, 5), (25, 7)):
-            lhs = expsums.complete_sum(q, -a, 3).value
-            rhs = expsums.complete_sum(q, a, 3).value
+            lhs = expsums.complete_sum(q, -a, 3)
+            rhs = expsums.complete_sum(q, a, 3)
             assert abs(lhs - rhs) <= 1e-9 * q
 
 
@@ -131,7 +128,7 @@ class TestBatch:
             batch = expsums.batch_values(q, 3)
             for a in range(q):
                 assert batch[a] == pytest.approx(
-                    expsums.complete_sum(q, a, 3).value, abs=1e-9 * q
+                    expsums.complete_sum(q, a, 3), abs=1e-9 * q
                 )
 
     def test_random_q_against_independent_oracle(self):
@@ -145,7 +142,7 @@ class TestBatch:
             batch = expsums.batch_weighted_values(q, 3)
             for a in range(q):
                 assert batch[a] == pytest.approx(
-                    expsums.weighted_sum(q, a, 3).value, abs=1e-10 * q
+                    expsums.weighted_sum(q, a, 3), abs=1e-10 * q
                 )
 
     def test_returned_arrays_belong_to_the_caller(self):

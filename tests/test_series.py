@@ -27,10 +27,6 @@ class TestTruncationSpec:
         Q = TruncationSpec(3, 9, 10**400).Q
         assert Q**3 <= 10**400 < (Q + 1) ** 3
 
-    def test_delta_k(self):
-        assert TruncationSpec(2, 5, 10).delta_k == 1
-        assert TruncationSpec(3, 5, 10).delta_k == 0
-
     def test_negative_n_needs_explicit_Q(self):
         with pytest.raises(ValueError):
             TruncationSpec(3, 9, -5)
@@ -49,17 +45,13 @@ class TestTruncationSpec:
 class TestTruncatedSeries:
     def test_first_modulus_only_gives_one(self):
         for k, u, n in ((2, 5, 25), (3, 8, 7), (4, 9, 123)):
-            val = series.singular_series_truncated(TruncationSpec(k, u, n, Q=1))
+            val = series.truncated_series([TruncationSpec(k, u, n, Q=1)])[0]
             assert val.value == pytest.approx(1.0, abs=1e-15)
             assert val.term_count == 1
 
-    def test_classical_requires_j_zero(self):
-        with pytest.raises(ValueError):
-            series.singular_series_truncated(TruncationSpec(3, 9, 5, j=1, Q=10))
-
     def test_against_double_loop_oracle_classical(self):
         spec = TruncationSpec(2, 5, 25, Q=50)
-        val = series.singular_series_truncated(spec)
+        val = series.truncated_series([spec])[0]
         oracle_val = direct_modified_series(2, 5, 0, 25, 50)
         assert val.value == pytest.approx(oracle_val, abs=1e-10)
         assert abs(val.value.imag) <= 1e-9 * val.term_count
@@ -72,7 +64,7 @@ class TestTruncatedSeries:
 
     def test_zero_n_sums_all_phases_one(self):
         spec = TruncationSpec(3, 8, 0, Q=20)
-        val = series.singular_series_truncated(spec)
+        val = series.truncated_series([spec])[0]
         direct = direct_power_moment(1, 21, 8, 0.0, 3)
         # for n = 0 and even exponent of |.|: here S is real (k odd), so
         # the classical series collapses to the absolute moment sum
@@ -100,9 +92,9 @@ class TestTruncatedSeries:
                     modified = series.modified_series_truncated(
                         TruncationSpec(k, s, n, j=j, Q=Q)
                     ).value
-                    classical = series.singular_series_truncated(
-                        TruncationSpec(k, s - j, n, Q=Q)
-                    ).value
+                    classical = series.truncated_series(
+                        [TruncationSpec(k, s - j, n, Q=Q)]
+                    )[0].value
                     expect = (-0.5) ** j * classical
                     assert modified == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
@@ -125,8 +117,8 @@ class TestTruncatedSeries:
     def test_negative_n_is_phase_reflection(self):
         # for odd k the classical series is invariant under n -> -n
         for n in (5, 17, 60):
-            pos = series.singular_series_truncated(TruncationSpec(3, 8, n, Q=30))
-            neg = series.singular_series_truncated(TruncationSpec(3, 8, -n, Q=30))
+            pos = series.truncated_series([TruncationSpec(3, 8, n, Q=30)])[0]
+            neg = series.truncated_series([TruncationSpec(3, 8, -n, Q=30)])[0]
             assert pos.value == pytest.approx(neg.value, abs=1e-10)
 
     def test_tail_estimate_nonnegative(self):
