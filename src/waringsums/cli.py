@@ -49,10 +49,9 @@ def _column(values) -> Tuple[List[str], Sequence]:
 def _emit(args, meta: dict, columns: Dict[str, Sequence]) -> None:
     """Write one table, given column by column, as CSV or its JSON mirror.
     CSV rows are formatted and written ROWS_PER_WRITE at a time."""
-    out = getattr(args, "output", "-")
-    with (contextlib.nullcontext(sys.stdout) if out in (None, "-")
-          else open(out, "w", encoding="utf-8")) as fh:
-        if getattr(args, "json", False):
+    with (contextlib.nullcontext(sys.stdout) if args.output in (None, "-")
+          else open(args.output, "w", encoding="utf-8")) as fh:
+        if args.json:
             # a float is written as the value its CSV text reads back as
             values = [list(map(float, text)) if isinstance(v, np.ndarray) else v
                       for text, v in map(_column, columns.values())]
@@ -251,13 +250,24 @@ def _cmd_em_verify(args) -> int:
 
 def _cmd_thm14(args) -> int:
     qs = _parse_int_list(args.Q)
-    ns = [math.factorial(Q) * args.m for Q in qs]
-    # n is printed in full, so refuse one the interpreter cannot print
+    # n is printed in full, so refuse one the interpreter cannot print;
+    # log10(Q!*m) from lgamma refuses a Q far past the limit before Q! is
+    # built (Q < 0 and m < 1 are left to the library's own checks)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    for Q, n in zip(qs, ns):
+
+    def too_long(Q: int) -> ValueError:
+        return ValueError(f"n = Q!*m at Q={Q}, m={args.m} has more than {limit} "
+                          "digits, the interpreter's limit for printing an integer")
+
+    ns = []
+    for Q in qs:
+        if limit and Q >= 0 and args.m >= 1 and \
+                math.lgamma(Q + 1) / math.log(10) + math.log10(args.m) > limit + 1:
+            raise too_long(Q)
+        n = math.factorial(Q) * args.m
         if limit and n >= 10**limit:
-            raise ValueError(f"n = Q!*m at Q={Q}, m={args.m} has more than {limit} "
-                             "digits, the interpreter's limit for printing an integer")
+            raise too_long(Q)
+        ns.append(n)
     disc = [series.factorial_multiple_discrepancy(args.s, args.k, Q, args.m, args.trunc)
             for Q in qs]
     meta = {"subcommand": "thm14", "k": args.k, "s": args.s, "m": args.m,

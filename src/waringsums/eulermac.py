@@ -73,10 +73,6 @@ class LatticeSumSpec:
             raise ValueError("r must hold at least one residue")
 
     @property
-    def l(self) -> int:
-        return len(self.r) if isinstance(self.r, tuple) else 1
-
-    @property
     def residues(self) -> Tuple[int, ...]:
         return self.r if isinstance(self.r, tuple) else (self.r,)
 

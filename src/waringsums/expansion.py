@@ -28,7 +28,6 @@ __all__ = [
     "coefficients_even",
     "coefficients_odd",
     "expansion_partial_sums",
-    "evaluate_expansion",
 ]
 
 
@@ -64,17 +63,6 @@ def gamma_factor(s: int, j: int, k: int) -> float:
     return math.exp(u * log_gamma(1.0 + 1.0 / k) - log_gamma(u / k))
 
 
-def _reject_integer_ratio_overrun(s: int, J: int, k: int) -> None:
-    # When k divides s and J exceeds s/k - 1, the expansion picks up extra
-    # terms of a form with no closed formula here; refuse rather than guess.
-    if s % k == 0 and J > s // k - 1:
-        raise ValueError(
-            f"J={J} with s={s} divisible by k={k} exceeds the supported "
-            f"order s/k - 1 = {s // k - 1}; coefficients beyond that order "
-            "are not represented by this expansion"
-        )
-
-
 def series_order(k: int, s: int, j: int) -> tuple[int, int]:
     """(exponent, modification order) of the truncated series behind c_j.
 
@@ -99,7 +87,14 @@ def coefficient_prefactors(s: int, J: int, k: int) -> list[float]:
         raise ValueError(f"need s - J >= 1, got s={s}, J={J}")
     if k % 2 == 1 and J > k:
         raise ValueError(f"odd-k coefficients need 0 <= J <= k, got J={J}")
-    _reject_integer_ratio_overrun(s, J, k)
+    # When k divides s and J exceeds s/k - 1, the expansion picks up extra
+    # terms of a form with no closed formula here; refuse rather than guess.
+    if s % k == 0 and J > s // k - 1:
+        raise ValueError(
+            f"J={J} with s={s} divisible by k={k} exceeds the supported "
+            f"order s/k - 1 = {s // k - 1}; coefficients beyond that order "
+            "are not represented by this expansion"
+        )
     out = []
     for j in range(J + 1):
         factor = float(math.comb(s, j)) * gamma_factor(s, j, k)
@@ -153,11 +148,3 @@ def expansion_partial_sums(ns, s: int, k: int, c) -> np.ndarray:
     for j in range(len(c)):
         terms[j] = c[j] * nf ** ((s - j) / k - 1.0)
     return np.cumsum(terms, axis=0)
-
-
-def evaluate_expansion(n: int, coeffs: ExpansionCoefficients) -> float:
-    """n^(s/k-1) * sum_j c_j n^(-j/k); defined for n >= 1 only."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return float(expansion_partial_sums([n], coeffs.s, coeffs.k, coeffs.coefficients)[-1, 0])
-

@@ -51,6 +51,7 @@ __all__ = [
 MAGIC = b"WRC1"
 _HEADER = struct.Struct("<4sIIQIB")
 MIN_WIDTH_BITS = 128
+_WORD = 2**64 - 1
 
 
 class WidthOverflowError(OverflowError):
@@ -91,24 +92,33 @@ def _width_bits_for(k: int, s: int, N: int, signed: bool) -> int:
 
 def _encode(counts: Sequence[int], wbytes: int) -> bytes:
     """The WRC1 entries: each count in order as a little-endian unsigned
-    integer of wbytes bytes."""
+    integer of wbytes bytes, assembled from one uint64 word column per
+    64 bits of the largest count."""
     top = max(counts, default=0)
     if top.bit_length() > 8 * wbytes:
         raise WidthOverflowError("count exceeds declared entry width")
-    if top < 2**64:  # one word per entry, the higher ones zero
-        entries = np.zeros((len(counts), wbytes), dtype=np.uint8)
-        entries[:, :8] = np.array(counts, dtype="<u8").view(np.uint8).reshape(-1, 8)
-        return entries.tobytes()
-    return b"".join(int(c).to_bytes(wbytes, "little") for c in counts)
+    words = np.empty((len(counts), max(1, -(-top.bit_length() // 64))), dtype="<u8")
+    for i in range(words.shape[1]):
+        words[:, i] = np.fromiter((c >> 64 * i & _WORD for c in counts),
+                                  dtype="<u8", count=len(counts))
+    used = min(wbytes, 8 * words.shape[1])
+    entries = np.zeros((len(counts), wbytes), dtype=np.uint8)
+    entries[:, :used] = words.view(np.uint8)[:, :used]
+    return entries.tobytes()
 
 
 def _decode(raw: bytes, wbytes: int) -> List[int]:
-    """The counts of an _encode layout."""
+    """The counts of an _encode layout: each entry is read as uint64
+    words, and each word column holding a nonzero word is shifted in."""
     entries = np.frombuffer(raw, dtype=np.uint8).reshape(-1, wbytes)
-    if not entries[:, 8:].any():
-        return np.ascontiguousarray(entries[:, :8]).view("<u8").ravel().tolist()
-    return [int.from_bytes(raw[i : i + wbytes], "little")
-            for i in range(0, len(raw), wbytes)]
+    padded = np.zeros((len(entries), 8 * -(-wbytes // 8)), dtype=np.uint8)
+    padded[:, :wbytes] = entries
+    words = padded.view("<u8")
+    counts = words[:, 0].tolist()
+    for i in range(1, words.shape[1]):
+        if words[:, i].any():
+            counts = [c | w << 64 * i for c, w in zip(counts, words[:, i].tolist())]
+    return counts
 
 
 def _carry(acc: np.ndarray, w: int) -> np.ndarray:
@@ -210,7 +220,6 @@ class InversionResult:
     """Outcome of the signed/unsigned inversion check; truthy iff it held."""
 
     ok: bool
-    checked_up_to: int
     first_failure: Optional[tuple] = None
 
     def __bool__(self) -> bool:
@@ -236,12 +245,12 @@ def verify_inversion(k: int, s: int, N: int) -> InversionResult:
         lhs = signed[s][n]
         rhs = sum(2 ** (s - r) * math.comb(s, r) * unsigned[s - r][n] for r in range(s + 1))
         if lhs != rhs:
-            return InversionResult(False, N, (n, "signed-from-unsigned", lhs, rhs))
+            return InversionResult(False, (n, "signed-from-unsigned", lhs, rhs))
         lhs2 = 2**s * unsigned[s][n]
         rhs2 = sum((-1) ** r * math.comb(s, r) * signed[s - r][n] for r in range(s + 1))
         if lhs2 != rhs2:
-            return InversionResult(False, N, (n, "unsigned-from-signed", lhs2, rhs2))
-    return InversionResult(True, N)
+            return InversionResult(False, (n, "unsigned-from-signed", lhs2, rhs2))
+    return InversionResult(True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,7 +285,7 @@ def residual_table(k: int, s: int, J: int, n_min: int, n_max: int, Q: int,
     prefactors = _expansion.coefficient_prefactors(s, J, k)
     ns = np.arange(n_min, n_max + 1, dtype=np.int64)
     orders = [_expansion.series_order(k, s, j) for j in range(J + 1)]
-    vals = _series.series_over_range_orders(k, orders, ns, Q).real
+    vals = _series.series_over_range_orders(k, orders, ns, [Q])[0].real
     coeffs = np.array(prefactors)[:, None] * vals
     predicted = _expansion.expansion_partial_sums(ns, s, k, coeffs)
     exact = list(counts.counts[n_min : n_max + 1])

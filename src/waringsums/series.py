@@ -104,7 +104,6 @@ class TruncationSpec:
 @dataclass(frozen=True)
 class SeriesValue:
     value: complex
-    spec: TruncationSpec
     term_count: int
     tail_estimate: float = 0.0
 
@@ -141,9 +140,8 @@ def truncated_series(specs: Sequence[TruncationSpec]) -> list[SeriesValue]:
         for (re, im), terms in zip(sums, last):
             re.add(terms.real)
             im.add(terms.imag)
-    return [SeriesValue(complex(re.value(), im.value()), spec, count,
-                        float(np.abs(terms).sum()))
-            for spec, (re, im), terms in zip(specs, sums, last)]
+    return [SeriesValue(complex(re.value(), im.value()), count, float(np.abs(terms).sum()))
+            for (re, im), terms in zip(sums, last)]
 
 
 def modified_series_truncated(spec: TruncationSpec) -> SeriesValue:
@@ -151,10 +149,17 @@ def modified_series_truncated(spec: TruncationSpec) -> SeriesValue:
     return truncated_series([spec])[0]
 
 
-def _range_walk(k: int, orders, ns: np.ndarray, Qs: Sequence[int]) -> list[np.ndarray]:
-    """series_over_range_orders at each truncation in Qs, from one walk
-    over q <= max(Qs); the running sum is copied as it passes each Q
-    below the last."""
+def series_over_range_orders(k: int, orders, ns: np.ndarray,
+                             Qs: Sequence[int]) -> list[np.ndarray]:
+    """For each truncation Q in Qs, an array whose row i holds the series
+    of orders[i] = (s, j) at every n in ns, all from one walk over
+    q <= max(Qs); the running sum is copied as it passes each Q below
+    the last.
+
+    For each modulus the row w (zero off the coprime residues) satisfies
+    value_q(n) = DFT(w)[n mod q], so each order costs one DFT plus one
+    gather per q.  Rows are applied in increasing q; agreement with the
+    scalar path is at rounding level."""
     if not Qs:
         raise ValueError("need at least one truncation Q")
     for Q in Qs:
@@ -174,20 +179,9 @@ def _range_walk(k: int, orders, ns: np.ndarray, Qs: Sequence[int]) -> list[np.nd
     return [snapshots[Q] for Q in Qs]
 
 
-def series_over_range_orders(k: int, orders, ns: np.ndarray, Q: int) -> np.ndarray:
-    """Row i holds the series of orders[i] = (s, j) at every n in ns, at
-    truncation Q, from one walk over q <= Q.
-
-    For each modulus the row w (zero off the coprime residues) satisfies
-    value_q(n) = DFT(w)[n mod q], so each order costs one DFT plus one
-    gather per q.  Rows are applied in increasing q; agreement with the
-    scalar path is at rounding level."""
-    return _range_walk(k, orders, ns, [Q])[0]
-
-
 def series_over_range(k: int, s: int, j: int, ns: np.ndarray, Q: int) -> np.ndarray:
     """Truncated series values for every n in ns, at truncation Q."""
-    return series_over_range_orders(k, [(s, j)], ns, Q)[0]
+    return series_over_range_orders(k, [(s, j)], ns, [Q])[0][0]
 
 
 def _factorizations(b0: int, b1: int) -> list[list[tuple[int, int]]]:
@@ -223,35 +217,21 @@ def _local_moment(p: int, e: int, k: int, u: int) -> float:
     return math.fsum((mags**u).tolist())
 
 
-def power_moment_sum(
-    lo: float,
-    hi: float,
-    u: int,
-    theta: float,
-    k: int,
-    rel_tol: float = 1e-12,
-) -> float:
+def power_moment_sum(lo: float, hi: float, u: int, theta: float, k: int) -> float:
     """sum over lo <= q < hi of q^theta * sum_{(a,q)=1} |S(q,a)/q|^u.
 
     The inner sum f(q) is multiplicative in q, so each q is evaluated as
     the product of f(p^e) over the prime powers p^e exactly dividing it.
     Those local factors are built once per call: a prime p costs O(p)
     from the d = gcd(k, p-1) coset sums (f(p) = 0 exactly when d = 1), a
-    higher prime power one DFT row.
-
-    hi = math.inf extends the sum in doubling blocks [B, 2B) until a
-    block contributes less than rel_tol of the running total; that needs
-    u > k(1+theta) + 1 + delta_k, which is enforced.  The default
-    rel_tol matches the library's accuracy contract but can make slowly
-    decaying parameter sets very expensive; experiments should pass the
-    tolerance they actually need.
+    higher prime power one DFT row.  The range must be finite.
     """
-    if not 1 <= lo < hi:
-        raise ValueError("need 1 <= lo < hi")
+    if not 1 <= lo < hi < math.inf:
+        raise ValueError("need 1 <= lo < hi < inf")
     if u < 1:
         raise ValueError("u must be a positive integer")
-
-    local = {}  # f(p^e), built once per call and shared by every block
+    b0, b1 = math.ceil(lo), math.ceil(hi)
+    local = {}  # f(p^e), built once per call
 
     def row(q: int, factors) -> float:
         f = 1.0
@@ -261,27 +241,8 @@ def power_moment_sum(
             f *= local[pe]
         return q**theta * f
 
-    def block(b0: int, b1: int) -> float:
-        return math.fsum(row(q, factors) for q, factors in
-                         zip(range(b0, b1), _factorizations(b0, b1)))
-
-    if math.isfinite(hi):
-        return block(math.ceil(lo), math.ceil(hi))
-
-    delta_k = 1 if k == 2 else 0
-    if not u > k * (1.0 + theta) + 1 + delta_k:
-        raise ValueError(
-            f"infinite tail needs u > k(1+theta)+1+delta_k = "
-            f"{k * (1.0 + theta) + 1 + delta_k}, got u={u}"
-        )
-    total = 0.0
-    b = math.ceil(lo)
-    while True:
-        contribution = block(b, 2 * b)
-        total += contribution
-        b *= 2
-        if total > 0.0 and contribution < rel_tol * total:
-            return total
+    return math.fsum(row(q, factors) for q, factors in
+                     zip(range(b0, b1), _factorizations(b0, b1)))
 
 
 def negation_identity_residual(s: int, n: int, Q: int, k: int) -> float:
@@ -338,7 +299,7 @@ def census_magnitudes(s: int, j: int, k: int, x: int, Qs: Sequence[int]) -> list
             f"requires s >= (j+4)(k+2)/2 = {(j + 4) * (k + 2) / 2}"
         )
     ns = np.arange(1, x + 1, dtype=np.int64)
-    return [np.abs(rows[0]) for rows in _range_walk(k, [(s, j)], ns, Qs)]
+    return [np.abs(rows[0]) for rows in series_over_range_orders(k, [(s, j)], ns, Qs)]
 
 
 def nonvanishing_census(

@@ -161,6 +161,20 @@ class TestWalkValidation:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    def test_thm14_refuses_a_huge_Q_before_building_its_factorial(self, monkeypatch,
+                                                                   capsys):
+        factorial = math.factorial
+
+        def bounded(x):
+            if x > 10**4:
+                raise AssertionError(f"factorial({x}) was built")
+            return factorial(x)
+
+        monkeypatch.setattr(math, "factorial", bounded)
+        assert cli.run("thm14 --k 3 --s 8 --Q 5,300000 --trunc 10".split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Q=300000" in err
+
     def test_config_C_must_be_finite(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("C = nan\n")

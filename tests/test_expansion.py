@@ -142,15 +142,14 @@ class TestEvaluateExpansion:
         coeffs = ExpansionCoefficients(
             2, 9, 0, 100, 10, "even", (3.0,), (1,), (1.0,), (1.0,)
         )
-        assert expansion.evaluate_expansion(100, coeffs) == pytest.approx(
-            3.0 * 100 ** (9 / 2 - 1)
-        )
+        got = expansion.expansion_partial_sums([100], 9, 2, coeffs.coefficients)[-1, 0]
+        assert got == pytest.approx(3.0 * 100 ** (9 / 2 - 1))
 
     def test_zero_coefficients(self):
         coeffs = ExpansionCoefficients(
             2, 9, 1, 100, 10, "even", (0.0, 0.0), (1, 9), (1.0, 1.0), (0.0, 0.0)
         )
-        assert expansion.evaluate_expansion(50, coeffs) == 0.0
+        assert expansion.expansion_partial_sums([50], 9, 2, coeffs.coefficients)[-1, 0] == 0.0
 
     def test_linearity_in_each_coefficient(self):
         base = ExpansionCoefficients(
@@ -160,14 +159,13 @@ class TestEvaluateExpansion:
             3, 13, 1, 100, 10, "odd", (2.0, -1.4), (1, 13), (1.0, 1.0), (1.0, 1.0)
         )
         n = 777
-        delta = expansion.evaluate_expansion(n, doubled) - expansion.evaluate_expansion(
-            n, base
-        )
+        delta = (expansion.expansion_partial_sums([n], 13, 3, doubled.coefficients)[-1, 0]
+                 - expansion.expansion_partial_sums([n], 13, 3, base.coefficients)[-1, 0])
         assert delta == pytest.approx(-0.7 * n ** ((13 - 1) / 3 - 1.0), rel=1e-12)
 
     def test_matches_manual_sum(self):
         coeffs = expansion.coefficients_even(9, 1, 4096, 2, 50)
-        got = expansion.evaluate_expansion(4096, coeffs)
+        got = expansion.expansion_partial_sums([4096], 9, 2, coeffs.coefficients)[-1, 0]
         want = self._manual(2, 9, 1, coeffs.coefficients, 4096)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -184,7 +182,7 @@ class TestEvaluateExpansion:
                     self._manual(3, 13, j, c[: j + 1, i], n), rel=1e-12)
 
     def test_rejects_nonpositive_n(self):
-        coeffs = expansion.coefficients_even(9, 0, 10, 2, 5)
-        with pytest.raises(ValueError):
-            expansion.evaluate_expansion(0, coeffs)
+        for n in (0, -4):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                expansion.coefficients_even(9, 0, n, 2, 5)
 

@@ -152,7 +152,7 @@ class TestOneWalk:
         ns = np.arange(-30, 300, dtype=np.int64)
         for k, orders in ((3, [(13, 0), (13, 1), (13, 2), (9, 1), (13, 1)]),
                           (2, [(5, 0), (4, 0), (3, 0)])):
-            rows = series.series_over_range_orders(k, orders, ns, 45)
+            rows, = series.series_over_range_orders(k, orders, ns, [45])
             assert rows.shape == (len(orders), ns.size)
             for row, (s, j) in zip(rows, orders):
                 assert np.array_equal(row, series.series_over_range(k, s, j, ns, 45))
@@ -171,7 +171,7 @@ class TestOneWalk:
         monkeypatch.setattr(expsums, "power_residues",
                             lambda q, k: calls.append(q) or power_residues(q, k))
         series.modified_series_truncated(TruncationSpec(3, 13, 77, j=1, Q=40))
-        series.series_over_range_orders(3, [(13, 0), (13, 2)], np.arange(5), 40)
+        series.series_over_range_orders(3, [(13, 0), (13, 2)], np.arange(5), [40])
         assert calls == 2 * list(range(1, 41))
 
     def test_census_at_several_truncations_is_one_walk(self, monkeypatch):
@@ -210,27 +210,18 @@ class TestPowerMomentSum:
         oracle_val = direct_power_moment(1, 50, 12, 1.0, 3)
         assert val == pytest.approx(oracle_val, rel=1e-9)
 
-    def test_infinite_tail_decreases(self):
-        vals = [
-            series.power_moment_sum(Q, math.inf, 8, 0.0, 2, rel_tol=1e-4)
-            for Q in (8, 16, 32, 64)
-        ]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-
     def test_tail_slopes_match_decay_exponent(self):
+        # the sum over each dyadic block [Q, 2Q) decays like the tail from Q:
         # fitted slope within +-0.3 of 1 + theta - (u - 1 - delta_k)/k
         Qs = [8, 16, 32, 64, 128]
         for u, theta, target in ((8, 0.0, -2.0), (10, 0.5, -2.5), (12, 1.0, -3.0)):
-            vals = [
-                series.power_moment_sum(Q, math.inf, u, theta, 2, rel_tol=1e-3)
-                for Q in Qs
-            ]
+            vals = [series.power_moment_sum(Q, 2 * Q, u, theta, 2) for Q in Qs]
             assert loglog_slope(Qs, vals) == pytest.approx(target, abs=0.3)
 
-    def test_rejects_divergent_infinite_request(self):
-        # u must exceed k(1+theta) + 1 + delta_k
-        with pytest.raises(ValueError):
-            series.power_moment_sum(1, math.inf, 4, 0.0, 2)
+    def test_rejects_infinite_hi(self):
+        for hi in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                series.power_moment_sum(1, hi, 12, 0.0, 2)
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
