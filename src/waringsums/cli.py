@@ -218,9 +218,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_residuals(args) -> int:
     table = _cached_table(args.k, args.s, args.n_max, args.cache_dir)
-    res = oracle.residual_table(
-        args.k, args.s, args.J, args.n_min, args.n_max, args.Q, counts=table
-    )
+    res = oracle.residual_table(table, args.J, args.n_min, args.n_max, args.Q)
     meta = {"subcommand": "residuals", "k": args.k, "s": args.s, "J": args.J,
             "n_min": args.n_min, "n_max": args.n_max, "Q": args.Q}
     orders = range(args.J + 1)
@@ -250,9 +248,9 @@ def _cmd_em_verify(args) -> int:
 
 def _cmd_thm14(args) -> int:
     qs = _parse_int_list(args.Q)
-    # n is printed in full, so refuse one the interpreter cannot print;
-    # log10(Q!*m) from lgamma refuses a Q far past the limit before Q! is
-    # built (Q < 0 and m < 1 are left to the library's own checks)
+    # n is printed in full; refuse one too long to print before Q! is built:
+    # Q! has more than Q digits for Q >= 25 and a nonzero limit is >= 640,
+    # so Q > limit is too long, and lgamma refuses a smaller Q far past it
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
 
     def too_long(Q: int) -> ValueError:
@@ -261,8 +259,10 @@ def _cmd_thm14(args) -> int:
 
     ns = []
     for Q in qs:
-        if limit and Q >= 0 and args.m >= 1 and \
-                math.lgamma(Q + 1) / math.log(10) + math.log10(args.m) > limit + 1:
+        if Q < 1 or args.m < 1:
+            raise ValueError("Q and m must be positive")
+        if limit and (Q > limit or math.lgamma(Q + 1) / math.log(10)
+                      + math.log10(args.m) > limit + 1):
             raise too_long(Q)
         n = math.factorial(Q) * args.m
         if limit and n >= 10**limit:

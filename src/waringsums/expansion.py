@@ -33,20 +33,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExpansionCoefficients:
-    k: int
-    s: int
-    J: int
-    n: int
-    Q: int
     parity: Literal["even", "odd"]
     coefficients: tuple
     binomials: tuple
     gamma_factors: tuple
     series_values: tuple
-
-    def __post_init__(self):
-        if len(self.coefficients) != self.J + 1:
-            raise ValueError("need exactly J+1 coefficients")
 
 
 def gamma_factor(s: int, j: int, k: int) -> float:
@@ -114,7 +105,7 @@ def _coefficients(s: int, J: int, n: int, k: int, Q: int) -> ExpansionCoefficien
     values = truncated_series([TruncationSpec(k, u, n, j=o, Q=Q) for u, o in orders])
     series_vals = [v.value.real for v in values]
     return ExpansionCoefficients(
-        k, s, J, n, Q, "even" if k % 2 == 0 else "odd",
+        "even" if k % 2 == 0 else "odd",
         tuple(p * v for p, v in zip(prefactors, series_vals)),
         tuple(math.comb(s, j) for j in range(J + 1)),
         tuple(gamma_factor(s, j, k) for j in range(J + 1)),

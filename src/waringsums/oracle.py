@@ -64,14 +64,13 @@ class RepCountTable:
 
     k: int
     s: int
-    N: int
     signed: bool
     width_bits: int
     counts: tuple
 
-    def __post_init__(self):
-        if len(self.counts) != self.N + 1:
-            raise ValueError("counts must cover 0..N")
+    @property
+    def N(self) -> int:
+        return len(self.counts) - 1
 
     def __getitem__(self, n: int) -> int:
         return self.counts[n]
@@ -83,8 +82,17 @@ def kth_powers(k: int, N: int) -> List[int]:
 
 
 def _width_bits_for(k: int, s: int, N: int, signed: bool) -> int:
-    # Every entry is at most the total number of admissible tuples, itself
-    # at most (#values per slot)^s; round up to whole bytes, floor 128.
+    """The entry width both table builders declare, after checking their
+    arguments.  Every entry is at most the number of admissible tuples,
+    itself at most (#values per slot)^s; round up to whole bytes, floor 128."""
+    if signed and k % 2 != 0:
+        raise ValueError("signed counting requires even k")
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if k < 2:
+        raise ValueError("k must be >= 2")
     per_slot = (2 if signed else 1) * len(kth_powers(k, N)) + 1
     bound_bits = (per_slot**s).bit_length() + 1
     return max(MIN_WIDTH_BITS, 8 * ((bound_bits + 7) // 8))
@@ -136,14 +144,8 @@ def _carry(acc: np.ndarray, w: int) -> np.ndarray:
 
 
 def _build_table(k: int, s: int, N: int, signed: bool) -> RepCountTable:
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    powers = kth_powers(k, N)
     width_bits = _width_bits_for(k, s, N, signed)
+    powers = kth_powers(k, N)
     # One step multiplies the largest limb by less than this factor, so
     # limbs of w bits stay below 2**63 through the next step.
     growth = (2 if signed else 1) * len(powers) + 1
@@ -167,7 +169,7 @@ def _build_table(k: int, s: int, N: int, signed: bool) -> RepCountTable:
         counts = [(c << w) + d for c, d in zip(counts, limb.tolist())]
     if max(counts).bit_length() > width_bits:
         raise WidthOverflowError("count exceeds declared entry width")
-    return RepCountTable(k, s, N, signed, width_bits, tuple(counts))
+    return RepCountTable(k, s, signed, width_bits, tuple(counts))
 
 
 def count_representations(k: int, s: int, N: int) -> RepCountTable:
@@ -182,8 +184,6 @@ def count_representations_signed(k: int, s: int, N: int) -> RepCountTable:
     k the analogous count needs an explicit window and is not a plain
     convolution, so it is rejected.
     """
-    if k % 2 != 0:
-        raise ValueError("signed counting requires even k")
     return _build_table(k, s, N, signed=True)
 
 
@@ -193,10 +193,7 @@ def count_by_enumeration(k: int, s: int, N: int, signed: bool = False) -> RepCou
     Signed slots are folded as weights (0 contributes once, each nonzero
     magnitude twice), which counts ordered sign choices exactly.
     """
-    if signed and k % 2 != 0:
-        raise ValueError("signed counting requires even k")
-    if s < 1 or N < 1:
-        raise ValueError("s and N must be >= 1")
+    width_bits = _width_bits_for(k, s, N, signed)
     powers = kth_powers(k, N)
     items = ([(0, 1)] if signed else []) + [(yk, 2 if signed else 1) for yk in powers]
     counts = [0] * (N + 1)
@@ -211,19 +208,17 @@ def count_by_enumeration(k: int, s: int, N: int, signed: bool = False) -> RepCou
             recurse(depth + 1, total + value, weight * w)
 
     recurse(0, 0, 1)
-    width_bits = max(MIN_WIDTH_BITS, 8 * ((max(counts).bit_length() + 8) // 8))
-    return RepCountTable(k, s, N, signed, width_bits, tuple(counts))
+    return RepCountTable(k, s, signed, width_bits, tuple(counts))
 
 
 @dataclass(frozen=True)
 class InversionResult:
-    """Outcome of the signed/unsigned inversion check; truthy iff it held."""
+    """Outcome of the signed/unsigned inversion check; truthy iff no failure was found."""
 
-    ok: bool
     first_failure: Optional[tuple] = None
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.first_failure is None
 
 
 def verify_inversion(k: int, s: int, N: int) -> InversionResult:
@@ -245,12 +240,12 @@ def verify_inversion(k: int, s: int, N: int) -> InversionResult:
         lhs = signed[s][n]
         rhs = sum(2 ** (s - r) * math.comb(s, r) * unsigned[s - r][n] for r in range(s + 1))
         if lhs != rhs:
-            return InversionResult(False, (n, "signed-from-unsigned", lhs, rhs))
+            return InversionResult((n, "signed-from-unsigned", lhs, rhs))
         lhs2 = 2**s * unsigned[s][n]
         rhs2 = sum((-1) ** r * math.comb(s, r) * signed[s - r][n] for r in range(s + 1))
         if lhs2 != rhs2:
-            return InversionResult(False, (n, "unsigned-from-signed", lhs2, rhs2))
-    return InversionResult(True)
+            return InversionResult((n, "unsigned-from-signed", lhs2, rhs2))
+    return InversionResult()
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,21 +262,19 @@ class ResidualTable:
         return len(self.exact)
 
 
-def residual_table(k: int, s: int, J: int, n_min: int, n_max: int, Q: int,
-                   counts: Optional[RepCountTable] = None) -> ResidualTable:
-    """Exact counts against cumulative expansion predictions.
+def residual_table(counts: RepCountTable, J: int, n_min: int, n_max: int,
+                   Q: int) -> ResidualTable:
+    """Exact counts of an unsigned table against its cumulative expansion predictions.
 
     predicted_j(n) sums the expansion through order j with coefficients
     truncated at level Q; residuals are exact - predicted_j, computed as
-    float(exact) - predicted_j, which is what int - float gives.  A
-    precomputed unsigned table may be passed to skip the convolution.
+    float(exact) - predicted_j, which is what int - float gives.
     """
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
-    if counts is None:
-        counts = count_representations(k, s, n_max)
-    if counts.N < n_max or counts.k != k or counts.s != s or counts.signed:
-        raise ValueError("supplied table does not match the experiment")
+    if counts.signed or n_max > counts.N:
+        raise ValueError(f"need an unsigned table covering n <= {n_max}")
+    k, s = counts.k, counts.s
     prefactors = _expansion.coefficient_prefactors(s, J, k)
     ns = np.arange(n_min, n_max + 1, dtype=np.int64)
     orders = [_expansion.series_order(k, s, j) for j in range(J + 1)]
@@ -325,5 +318,5 @@ def read_binary(path: str) -> RepCountTable:
             raise ValueError(f"{kind} count-table file: {size} bytes, "
                              f"header implies {expected}")
         raw = fh.read()
-    return RepCountTable(k, s, N, bool(signed), width_bits, tuple(_decode(raw, wbytes)))
+    return RepCountTable(k, s, bool(signed), width_bits, tuple(_decode(raw, wbytes)))
 

@@ -103,9 +103,12 @@ class TruncationSpec:
 
 @dataclass(frozen=True)
 class SeriesValue:
+    """tail_estimate is sum_a |w(a)| over the last modulus q = Q: the size of
+    that row, not a bound on the truncation error; it is 0 when the row vanishes."""
+
     value: complex
     term_count: int
-    tail_estimate: float = 0.0
+    tail_estimate: float
 
 
 def _coefficient_rows(q: int, k: int, orders) -> tuple[np.ndarray, dict]:

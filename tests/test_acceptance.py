@@ -119,7 +119,7 @@ def test_ac06_psi_term_restores_error_order():
 
 def _secondary_term_experiment(k, s, n_min, n_max, Q):
     table = oracle.count_representations(k, s, n_max)
-    res = oracle.residual_table(k, s, 1, n_min, n_max, Q, counts=table)
+    res = oracle.residual_table(table, 1, n_min, n_max, Q)
     ns = res.ns.astype(np.float64)
     e0, e1 = np.abs(res.residuals)
     norm = ns ** ((s - 1) / k - 1.0)

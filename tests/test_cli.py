@@ -140,6 +140,8 @@ class TestWalkValidation:
         pytest.param(f"series --k 3 --s 9 --n {10**400}", id="series --n 10**400"),
         # 1559! has 4301 digits, more than the default int-to-str limit
         "thm14 --k 3 --s 8 --Q 1559 --trunc 10",
+        # too large for lgamma and for factorial
+        pytest.param(f"thm14 --k 3 --s 8 --Q {10**400} --trunc 10", id="thm14 --Q 10**400"),
         "thm15 --k 3 --s 13 --j 1 --x 10 --Q 5 --C nan",
         "thm15 --k 3 --s 13 --j 1 --x 10 --Q 5 --C inf",
     ])
@@ -160,6 +162,10 @@ class TestWalkValidation:
             assert "Q=1558, m=7" in capsys.readouterr().err
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def test_thm14_names_Q_and_m_when_refusing_a_negative_Q(self, capsys):
+        assert cli.run("thm14 --k 3 --s 8 --Q -1 --trunc 10".split()) == 2
+        assert "Q and m must be positive" in capsys.readouterr().err
 
     def test_thm14_refuses_a_huge_Q_before_building_its_factorial(self, monkeypatch,
                                                                    capsys):
@@ -537,11 +543,8 @@ def test_tracer_targets_resolve():
         assert callable(getattr(importlib.import_module(f"waringsums.{module}"), name))
         attrs[module, name] = attr
     # the span attributes are computed from real return values
-    args = (2, 9, 1, 100, 130, 20)
+    args = (oracle.count_representations(2, 9, 130), 1, 100, 130, 20)
     assert attrs["oracle", "residual_table"](oracle.residual_table(*args), *args) == 31
-    kw = dict(counts=oracle.count_representations(2, 9, 130))
-    assert attrs["oracle", "residual_table"](oracle.residual_table(*args, **kw), *args,
-                                             **kw) == 31
 
 
 def _fresh_interpreter(code: str) -> str:

@@ -140,23 +140,23 @@ class TestEvaluateExpansion:
 
     def test_single_term(self):
         coeffs = ExpansionCoefficients(
-            2, 9, 0, 100, 10, "even", (3.0,), (1,), (1.0,), (1.0,)
+            "even", (3.0,), (1,), (1.0,), (1.0,)
         )
         got = expansion.expansion_partial_sums([100], 9, 2, coeffs.coefficients)[-1, 0]
         assert got == pytest.approx(3.0 * 100 ** (9 / 2 - 1))
 
     def test_zero_coefficients(self):
         coeffs = ExpansionCoefficients(
-            2, 9, 1, 100, 10, "even", (0.0, 0.0), (1, 9), (1.0, 1.0), (0.0, 0.0)
+            "even", (0.0, 0.0), (1, 9), (1.0, 1.0), (0.0, 0.0)
         )
         assert expansion.expansion_partial_sums([50], 9, 2, coeffs.coefficients)[-1, 0] == 0.0
 
     def test_linearity_in_each_coefficient(self):
         base = ExpansionCoefficients(
-            3, 13, 1, 100, 10, "odd", (2.0, -0.7), (1, 13), (1.0, 1.0), (1.0, 1.0)
+            "odd", (2.0, -0.7), (1, 13), (1.0, 1.0), (1.0, 1.0)
         )
         doubled = ExpansionCoefficients(
-            3, 13, 1, 100, 10, "odd", (2.0, -1.4), (1, 13), (1.0, 1.0), (1.0, 1.0)
+            "odd", (2.0, -1.4), (1, 13), (1.0, 1.0), (1.0, 1.0)
         )
         n = 777
         delta = (expansion.expansion_partial_sums([n], 13, 3, doubled.coefficients)[-1, 0]

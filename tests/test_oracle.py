@@ -71,11 +71,12 @@ class TestCountRepresentations:
         assert value(out) == want
 
     def test_enumeration_equivalence_grid(self):
-        for k in (2, 3):
-            for s in (2, 3, 4):
-                conv = oracle.count_representations(k, s, 2000)
-                enum = oracle.count_by_enumeration(k, s, 2000)
-                assert conv.counts == enum.counts, (k, s)
+        # whole tables, declared width included; at (2, 50, 30) every count
+        # is 0 and the width is the a-priori bound of 136 bits
+        for k, s, N in [(k, s, 2000) for k in (2, 3) for s in (2, 3, 4)] + [(2, 50, 30)]:
+            conv = oracle.count_representations(k, s, N)
+            enum = oracle.count_by_enumeration(k, s, N)
+            assert conv == enum, (k, s, N)
 
     def test_total_count_conservation(self):
         # cumulative table total equals a nested-loop count of the ball
@@ -171,15 +172,15 @@ class TestInversion:
         assert oracle.verify_inversion(4, 3, 800)
 
     def test_result_is_falsy_on_tampered_data(self):
-        res = oracle.InversionResult(False, (5, "signed-from-unsigned", 1, 2))
+        res = oracle.InversionResult((5, "signed-from-unsigned", 1, 2))
         assert not res
 
 
 class TestResidualTable:
     def test_definition_of_first_residual(self):
         k, s, Q = 2, 9, 30
-        res = oracle.residual_table(k, s, 0, 500, 510, Q)
         table = oracle.count_representations(k, s, 510)
+        res = oracle.residual_table(table, 0, 500, 510, Q)
         for n, exact, pred0, resid0 in zip(res.ns.tolist(), res.exact,
                                            res.predicted[0], res.residuals[0]):
             coeffs = expansion.coefficients_even(s, 0, n, k, Q)
@@ -189,7 +190,8 @@ class TestResidualTable:
             assert resid0 == pytest.approx(exact - pred, rel=1e-9)
 
     def test_cumulative_predictions_odd_k(self):
-        res = oracle.residual_table(3, 13, 1, 1000, 1010, 40)
+        table = oracle.count_representations(3, 13, 1010)
+        res = oracle.residual_table(table, 1, 1000, 1010, 40)
         for n, pred0, pred1 in zip(res.ns.tolist(), *res.predicted):
             coeffs = expansion.coefficients_odd(13, 1, n, 3, 40)
             manual0 = coeffs.coefficients[0] * n ** (13 / 3 - 1)
@@ -198,9 +200,10 @@ class TestResidualTable:
             assert pred1 == pytest.approx(manual1, rel=1e-9)
 
     def test_rejects_mismatched_table(self):
-        table = oracle.count_representations(2, 3, 50)
         with pytest.raises(ValueError):
-            oracle.residual_table(2, 9, 1, 1, 50, 10, counts=table)
+            oracle.residual_table(oracle.count_representations_signed(2, 9, 50), 1, 1, 50, 10)
+        with pytest.raises(ValueError):
+            oracle.residual_table(oracle.count_representations(2, 9, 49), 1, 1, 50, 10)
 
     @pytest.mark.parametrize("k, s, J, n_min, n_max, Q", [
         (3, 13, 2, 1000, 1400, 60),
@@ -211,7 +214,7 @@ class TestResidualTable:
     ])
     def test_residual_columns_are_int_minus_float(self, k, s, J, n_min, n_max, Q):
         table = oracle.count_representations(k, s, n_max)
-        res = oracle.residual_table(k, s, J, n_min, n_max, Q, counts=table)
+        res = oracle.residual_table(table, J, n_min, n_max, Q)
         if k == 2:
             assert min(res.exact) > 2**53
         assert res.ns.tolist() == list(range(n_min, n_max + 1))
@@ -222,7 +225,8 @@ class TestResidualTable:
             assert [r.hex() for r in res.residuals[j].tolist()] == want
 
     def test_length_and_records(self):
-        res = oracle.residual_table(3, 13, 2, 1000, 1040, 40)
+        table = oracle.count_representations(3, 13, 1040)
+        res = oracle.residual_table(table, 2, 1000, 1040, 40)
         assert len(res) == len(res.ns) == 41
 
 
@@ -341,7 +345,7 @@ class TestExports:
             oracle._encode([2**64], 8)
 
     def test_width_overflow_on_export(self, tmp_path):
-        bogus = oracle.RepCountTable(2, 2, 1, False, 128, (1, 1 << 200))
+        bogus = oracle.RepCountTable(2, 2, False, 128, (1, 1 << 200))
         path = tmp_path / "x.bin"
         with pytest.raises(oracle.WidthOverflowError):
             oracle.write_binary(bogus, str(path))
