@@ -261,6 +261,8 @@ def _cmd_thm14(args) -> int:
     for Q in qs:
         if Q < 1 or args.m < 1:
             raise ValueError("Q and m must be positive")
+        if Q > sys.maxsize:  # math.factorial refuses it, with a limit or without
+            raise ValueError(f"Q={Q} is above sys.maxsize={sys.maxsize}; Q! cannot be built")
         if limit and (Q > limit or math.lgamma(Q + 1) / math.log(10)
                       + math.log10(args.m) > limit + 1):
             raise too_long(Q)
@@ -345,9 +347,9 @@ def _selftest_checks(seed: int):
 
     def inversion():
         for s in (2, 3, 4):
-            result = oracle.verify_inversion(2, s, 400)
-            if not result:
-                return f"inversion failed: {result.first_failure}"
+            failure = oracle.verify_inversion(2, s, 400)
+            if failure is not None:
+                return f"inversion failed: {failure}"
         return None
 
     def convolution_vs_enumeration():
@@ -366,9 +368,9 @@ def _selftest_checks(seed: int):
     def limbs_vs_inversion():
         # the signed tables of orders 13 and 14 (63 and 68 bits) carry into a
         # second limb; the unsigned ones stay on one
-        result = oracle.verify_inversion(2, 14, 2000)
-        if not result:
-            return f"inversion failed: {result.first_failure}"
+        failure = oracle.verify_inversion(2, 14, 2000)
+        if failure is not None:
+            return f"inversion failed: {failure}"
         if oracle.count_representations(3, 4, 500).counts != \
                 oracle.count_by_enumeration(3, 4, 500).counts:
             return "mismatch with enumeration at (k=3, s=4, N=500)"

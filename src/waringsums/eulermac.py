@@ -115,13 +115,6 @@ def _check_order(N: int, theta: float, cap: float = math.inf) -> None:
         raise ValueError(f"order N={N} outside the valid range [1, {limit}]")
 
 
-def _falling_factorial(theta: float, nu: int) -> float:
-    out = 1.0
-    for i in range(nu):
-        out *= theta - i
-    return out
-
-
 def progression_power_sum_asymptotic(
     spec: LatticeSumSpec, variant: str = "two_sided"
 ) -> Tuple[float, float, float]:
@@ -151,7 +144,7 @@ def progression_power_sum_asymptotic(
     psi = 0.0
     for nu in range((N - 1) // k + 1):
         psi += (
-            _falling_factorial(theta, nu)
+            math.prod(theta - i for i in range(nu))
             / (math.factorial(nu) * (nu * k + 1))
             * periodic_bernoulli(nu * k + 1, -r / q)
             * (q / X) ** (k * nu)

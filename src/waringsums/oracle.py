@@ -40,7 +40,6 @@ __all__ = [
     "count_representations",
     "count_representations_signed",
     "count_by_enumeration",
-    "InversionResult",
     "verify_inversion",
     "ResidualTable",
     "residual_table",
@@ -51,7 +50,6 @@ __all__ = [
 MAGIC = b"WRC1"
 _HEADER = struct.Struct("<4sIIQIB")
 MIN_WIDTH_BITS = 128
-_WORD = 2**64 - 1
 
 
 class WidthOverflowError(OverflowError):
@@ -98,21 +96,16 @@ def _width_bits_for(k: int, s: int, N: int, signed: bool) -> int:
     return max(MIN_WIDTH_BITS, 8 * ((bound_bits + 7) // 8))
 
 
-def _encode(counts: Sequence[int], wbytes: int) -> bytes:
+def _encode(counts: Sequence[int], wbytes: int) -> bytearray:
     """The WRC1 entries: each count in order as a little-endian unsigned
-    integer of wbytes bytes, assembled from one uint64 word column per
-    64 bits of the largest count."""
-    top = max(counts, default=0)
-    if top.bit_length() > 8 * wbytes:
-        raise WidthOverflowError("count exceeds declared entry width")
-    words = np.empty((len(counts), max(1, -(-top.bit_length() // 64))), dtype="<u8")
-    for i in range(words.shape[1]):
-        words[:, i] = np.fromiter((c >> 64 * i & _WORD for c in counts),
-                                  dtype="<u8", count=len(counts))
-    used = min(wbytes, 8 * words.shape[1])
-    entries = np.zeros((len(counts), wbytes), dtype=np.uint8)
-    entries[:, :used] = words.view(np.uint8)[:, :used]
-    return entries.tobytes()
+    integer of wbytes bytes."""
+    out = bytearray()
+    try:
+        for c in counts:
+            out += c.to_bytes(wbytes, "little")
+    except OverflowError:
+        raise WidthOverflowError("count exceeds declared entry width") from None
+    return out
 
 
 def _decode(raw: bytes, wbytes: int) -> List[int]:
@@ -211,41 +204,30 @@ def count_by_enumeration(k: int, s: int, N: int, signed: bool = False) -> RepCou
     return RepCountTable(k, s, signed, width_bits, tuple(counts))
 
 
-@dataclass(frozen=True)
-class InversionResult:
-    """Outcome of the signed/unsigned inversion check; truthy iff no failure was found."""
-
-    first_failure: Optional[tuple] = None
-
-    def __bool__(self) -> bool:
-        return self.first_failure is None
-
-
-def verify_inversion(k: int, s: int, N: int) -> InversionResult:
+def verify_inversion(k: int, s: int, N: int) -> Optional[tuple]:
     """Exactly check, for all n <= N, the pair of identities
 
         signed_s(n)        = sum_r 2^(s-r) C(s,r) unsigned_{s-r}(n)
         2^s unsigned_s(n)  = sum_r (-1)^r C(s,r) signed_{s-r}(n)
 
-    with the order-0 tables equal to the indicator of n = 0.
+    with the order-0 tables equal to the indicator of n = 0.  Returns None
+    when both hold, else the first failure (n, identity, lhs, rhs).
     """
     if k % 2 != 0:
         raise ValueError("inversion check requires even k")
-    unsigned = {0: [1] + [0] * N}
-    signed = {0: [1] + [0] * N}
-    for t in range(1, s + 1):
-        unsigned[t] = list(count_representations(k, t, N).counts)
-        signed[t] = list(count_representations_signed(k, t, N).counts)
+    order0 = (1,) + (0,) * N
+    unsigned = [order0] + [count_representations(k, t, N).counts for t in range(1, s + 1)]
+    signed = [order0] + [count_representations_signed(k, t, N).counts for t in range(1, s + 1)]
     for n in range(N + 1):
         lhs = signed[s][n]
         rhs = sum(2 ** (s - r) * math.comb(s, r) * unsigned[s - r][n] for r in range(s + 1))
         if lhs != rhs:
-            return InversionResult((n, "signed-from-unsigned", lhs, rhs))
+            return n, "signed-from-unsigned", lhs, rhs
         lhs2 = 2**s * unsigned[s][n]
         rhs2 = sum((-1) ** r * math.comb(s, r) * signed[s - r][n] for r in range(s + 1))
         if lhs2 != rhs2:
-            return InversionResult((n, "unsigned-from-signed", lhs2, rhs2))
-    return InversionResult()
+            return n, "unsigned-from-signed", lhs2, rhs2
+    return None
 
 
 @dataclass(frozen=True, eq=False)

@@ -181,6 +181,14 @@ class TestWalkValidation:
         out, err = capsys.readouterr()
         assert out == "" and "Q=300000" in err
 
+    def test_thm14_refuses_a_Q_above_maxsize_with_no_digit_limit(self, monkeypatch,
+                                                                   capsys):
+        # as on interpreters without sys.get_int_max_str_digits
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert cli.run(f"thm14 --k 3 --s 8 --Q {10**400} --trunc 10".split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Q=" in err
+
     def test_config_C_must_be_finite(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("C = nan\n")

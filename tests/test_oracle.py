@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -132,7 +133,7 @@ class TestSignedCounts:
         assert max(table.counts).bit_length() == 68
         assert list(table.counts) == python_int_counts(2, 14, 2000, signed=True)
         assert table.width_bits == 128
-        assert oracle.verify_inversion(2, 14, 2000)
+        assert oracle.verify_inversion(2, 14, 2000) is None
 
     def test_near_boundary_stays_on_int64(self, monkeypatch):
         # the largest count is 58 bits, and the guard holds at every step
@@ -152,9 +153,7 @@ class TestSignedCounts:
 class TestInversion:
     def test_spot_value_by_hand(self):
         # 4 R_2(25) + 4 R_1(25) + R_0(25) = 8 + 4 + 0 = 12 = signed count
-        res = oracle.verify_inversion(2, 2, 25)
-        assert res
-        assert res.first_failure is None
+        assert oracle.verify_inversion(2, 2, 25) is None
 
     def test_single_slot_relation(self):
         unsigned = oracle.count_representations(2, 1, 60)
@@ -163,17 +162,26 @@ class TestInversion:
             assert signed[n] == 2 * unsigned[n] + (1 if n == 0 else 0)
 
     def test_larger_case(self):
-        assert oracle.verify_inversion(2, 6, 5000)
+        assert oracle.verify_inversion(2, 6, 5000) is None
 
     def test_four_squares_to_ten_thousand(self):
-        assert oracle.verify_inversion(2, 4, 10_000)
+        assert oracle.verify_inversion(2, 4, 10_000) is None
 
     def test_quartic_case(self):
-        assert oracle.verify_inversion(4, 3, 800)
+        assert oracle.verify_inversion(4, 3, 800) is None
 
-    def test_result_is_falsy_on_tampered_data(self):
-        res = oracle.InversionResult((5, "signed-from-unsigned", 1, 2))
-        assert not res
+    def test_first_failure_on_tampered_data(self, monkeypatch):
+        real = oracle.count_representations_signed
+
+        def tampered(k, s, N):
+            table = real(k, s, N)
+            counts = list(table.counts)
+            counts[5] += 1
+            return dataclasses.replace(table, counts=tuple(counts))
+
+        monkeypatch.setattr(oracle, "count_representations_signed", tampered)
+        # the true signed_2(5) is 8: (+-1, +-2) and (+-2, +-1)
+        assert oracle.verify_inversion(2, 2, 25) == (5, "signed-from-unsigned", 9, 8)
 
 
 class TestResidualTable:
