@@ -28,6 +28,7 @@ from . import __version__, arith, eulermac, expansion, expsums, oracle, series
 __all__ = ["build_parser", "run", "main"]
 
 ROWS_PER_WRITE = 4096  # CSV rows formatted per write, which bounds the emitter's memory
+_INT64 = np.iinfo(np.int64)
 
 
 # ----------------------------- plumbing -----------------------------------
@@ -81,6 +82,14 @@ def _parse_int_list(text: str) -> List[int]:
     if not values:
         raise ValueError(f"empty list {text!r}")
     return values
+
+
+def _check_int64_end(flag: str, value: int) -> None:
+    """Refuse an end of an n range that np.arange(lo, hi + 1) would wrap
+    as int64: the ends, and so the stop hi + 1, must be int64."""
+    if not _INT64.min <= value < _INT64.max:
+        raise ValueError(f"{flag} {value} is outside [{_INT64.min}, {_INT64.max - 1}], "
+                         "the ends an int64 n range can have")
 
 
 def _load_config(path: str) -> dict:
@@ -183,6 +192,8 @@ def _cmd_series(args) -> int:
         raise ValueError("range mode needs --n-min, --n-max and --Q")
     if args.n_max < args.n_min:
         raise ValueError(f"empty range --n-min {args.n_min} --n-max {args.n_max}")
+    _check_int64_end("--n-min", args.n_min)
+    _check_int64_end("--n-max", args.n_max)
     ns = np.arange(args.n_min, args.n_max + 1, dtype=np.int64)
     vals = series.series_over_range(args.k, args.s, args.j, ns, args.Q)
     meta.update(n_min=args.n_min, n_max=args.n_max)
@@ -281,6 +292,7 @@ def _cmd_thm14(args) -> int:
 def _cmd_thm15(args) -> int:
     if args.C is not None and not math.isfinite(args.C):
         raise ValueError(f"C must be finite, got {args.C}")
+    _check_int64_end("--x", args.x)
     qs = _parse_int_list(args.Q)
     mags = series.census_magnitudes(args.s, args.j, args.k, args.x, qs)
     threshold = float(np.median(mags[0])) / 2.0 if args.C is None else args.C

@@ -163,9 +163,11 @@ def weighted_sum(q: int, a: int, k: int) -> complex:
     return _point_value(q, a, k, weighted=True)
 
 
-def _binned_dft(residues: np.ndarray, q: int, weights=None) -> np.ndarray:
-    """conj(FFT) of the length-q histogram of residues, optionally weighted:
-    sum_r w(r) e(a r^k / q) for every a when residues[r-1] = r^k mod q."""
+def binned_dft(residues: np.ndarray, q: int, weighted: bool = False) -> np.ndarray:
+    """conj(FFT) of the length-q histogram of residues, each r weighted by
+    1/2 - r/q when weighted: sum_r w(r) e(a r^k / q) for every a when
+    residues[r-1] = r^k mod q, that is S(q, .) or T(q, .)."""
+    weights = _weights(q) if weighted else None
     binned = np.bincount(residues, weights=weights, minlength=q).astype(np.float64)
     return np.conj(np.fft.fft(binned))
 
@@ -178,13 +180,13 @@ def batch_values(q: int, k: int) -> np.ndarray:
     S(q, a) = sum_m c(m) e(a m / q) = conj(FFT(c))[a].
     """
     _validate(q, k)
-    return _binned_dft(power_residues(q, k), q)
+    return binned_dft(power_residues(q, k), q)
 
 
 def batch_weighted_values(q: int, k: int) -> np.ndarray:
     """T(q, a) for all a = 0..q-1, by binning the weights 1/2 - r/q."""
     _validate(q, k)
-    return _binned_dft(power_residues(q, k), q, _weights(q))
+    return binned_dft(power_residues(q, k), q, weighted=True)
 
 
 def batch_value_pair(q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +194,7 @@ def batch_value_pair(q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     one residue array."""
     _validate(q, k)
     residues = power_residues(q, k)
-    return _binned_dft(residues, q), _binned_dft(residues, q, _weights(q))
+    return binned_dft(residues, q), binned_dft(residues, q, weighted=True)
 
 
 def coset_sums(p: int, k: int) -> np.ndarray:

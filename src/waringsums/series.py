@@ -5,14 +5,16 @@ the modified series swaps j of those factors for the weighted sum T(q,a).
 Both are real up to rounding because the a <-> q-a terms pair into
 conjugates.
 
-Both evaluation paths walk the moduli q <= Q once per evaluation and
-build every coefficient row they need from one S row (and one T row if
-some j > 0) per q.  The scalar path takes specs sharing k and Q, forms
-each phase vector e(-na/q) once per distinct n, and adds each modulus's
-terms to an expsums.ExactSum as it goes, keeping none of them: the value
-is math.fsum of all the terms, bit for bit, however specs are grouped.  The
-range path serves a whole range of n: for each q the map n -> partial
-sum depends only on n mod q, so one length-q DFT of each row serves all.
+Both evaluation paths walk the moduli q <= Q once per evaluation (_walk)
+and build every coefficient row they need from one S row (and one T row
+if some j > 0) per q, skipping each q whose rows vanish identically, as
+an exact test at the prime powers finds.  The scalar path takes specs
+sharing k and Q, forms each phase vector e(-na/q) once per distinct n,
+and adds each modulus's terms to an expsums.ExactSum as it goes, keeping
+none of them: the value is math.fsum of all the terms, bit for bit,
+however specs are grouped.  The range path serves a whole range of n:
+for each q the map n -> partial sum depends only on n mod q, so one
+length-q DFT of each row serves all.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expsums import (MAX_MODULUS, ExactSum, batch_value_pair, batch_values,
-                      coprime_residues, coset_sums)
+from .expsums import (MAX_MODULUS, ExactSum, batch_values, binned_dft, coprime_residues,
+                      coset_sums, power_residues)
 
 __all__ = [
     "TruncationSpec",
@@ -104,23 +106,75 @@ class TruncationSpec:
 @dataclass(frozen=True)
 class SeriesValue:
     """tail_estimate is sum_a |w(a)| over the last modulus q = Q: the size of
-    that row, not a bound on the truncation error; it is 0 when the row vanishes."""
+    that row, not a bound on the truncation error.  It is exactly 0 when the
+    walk skips that row as vanishing identically (see _walk)."""
 
     value: complex
     term_count: int
     tail_estimate: float
 
 
-def _coefficient_rows(q: int, k: int, orders) -> tuple[np.ndarray, dict]:
-    """Coprime residues a mod q, in increasing order, and a dict taking each
-    (s, j) in orders to the row w(a) = (S(q,a)/q)^(s-j) T(q,a)^j."""
-    a = coprime_residues(q)
-    if any(j for _, j in orders):
-        S, T = batch_value_pair(q, k)
-        S, T = S[a] / q, T[a]
-    else:
-        S = batch_values(q, k)[a] / q
-    return a, {(s, j): S ** (s - j) * T**j if j else S ** (s - j) for s, j in orders}
+def _prime_power_parts(q: int) -> list[tuple[int, int]]:
+    """The pairs (p, p^e) with p^e exactly dividing q, p increasing, by
+    trial division."""
+    parts, p = [], 2
+    while p * p <= q:
+        if q % p == 0:
+            pe = 1
+            while q % p == 0:
+                q, pe = q // p, pe * p
+            parts.append((p, pe))
+        p += 1
+    if q > 1:
+        parts.append((q, q))
+    return parts
+
+
+def _units_vanish(residues: np.ndarray, p: int) -> bool:
+    """Whether S(q, a) = 0 at every unit a mod q = p^e, given
+    residues[r-1] = r^k mod q for r = 1..q.
+
+    S(q, a) = sum_m c(m) e(am/q) with c(m) = #{r : r^k = m mod q}.  Shifting
+    c by h = q/p multiplies that transform by e(-a/p), which is 1 exactly
+    when p | a, so c is invariant under m -> m + h exactly when S(q, .)
+    vanishes on the units.  The test compares integer counts."""
+    c = np.bincount(residues, minlength=residues.size).reshape(p, -1)
+    return bool((c == c[0]).all())
+
+
+def _walk(k: int, orders, Q: int):
+    """Yield (q, phi(q), a, rows) for q = 1..Q in increasing order: a holds
+    the coprime residues mod q and rows maps each (s, j) in orders to
+    w(a) = (S(q,a)/q)^(s-j) T(q,a)^j, both built from one power_residues
+    array; a and rows are None where every row vanishes identically.
+
+    On the units, S(q, .) is a product of S(p^e, .) over the p^e exactly
+    dividing q, so if one of those vanishes, so does every row with
+    s - j >= 1.  The walk reaches q = p^e before its multiples and tests it
+    there exactly (_units_vanish); each later q with such a p^e among the
+    prime powers it factors into (which phi(q) needs anyway) is skipped
+    with no residues, DFT or powers.  An order with j = s has the row T^s,
+    which never vanishes, so a walk with one skips nothing.
+    """
+    skip = all(s > j for s, j in orders)
+    weighted = any(j for _, j in orders)
+    vanishing = set()  # the prime powers p^e < q with S(p^e, .) = 0 on the units
+    for q in range(1, Q + 1):
+        parts = _prime_power_parts(q)
+        phi = math.prod(pe - pe // p for p, pe in parts)
+        if any(pe in vanishing for _, pe in parts):
+            yield q, phi, None, None
+            continue
+        residues = power_residues(q, k)
+        if skip and len(parts) == 1 and _units_vanish(residues, parts[0][0]):
+            vanishing.add(q)
+            yield q, phi, None, None
+            continue
+        a = coprime_residues(q)
+        S = binned_dft(residues, q)[a] / q
+        T = binned_dft(residues, q, weighted=True)[a] if weighted else None
+        yield q, phi, a, {(s, j): S ** (s - j) * T**j if j else S ** (s - j)
+                          for s, j in orders}
 
 
 def truncated_series(specs: Sequence[TruncationSpec]) -> list[SeriesValue]:
@@ -133,9 +187,11 @@ def truncated_series(specs: Sequence[TruncationSpec]) -> list[SeriesValue]:
     _check_walk(k, orders, Q)
     sums = [(ExactSum(), ExactSum()) for _ in specs]
     count = 0
-    for q in range(1, Q + 1):
-        a, rows = _coefficient_rows(q, k, orders)
-        count += a.size
+    for q, phi, a, rows in _walk(k, orders, Q):
+        count += phi
+        last = None  # each spec's terms at q, while q's rows do not vanish
+        if rows is None:
+            continue
         # e(-n a / q) = e(m a / q) with m = (-n) mod q; all index math exact.
         phase = {n: np.exp(1j * (2.0 * math.pi * (((-int(n) % q) * a) % q / q)))
                  for n in {spec.n for spec in specs}}
@@ -143,8 +199,9 @@ def truncated_series(specs: Sequence[TruncationSpec]) -> list[SeriesValue]:
         for (re, im), terms in zip(sums, last):
             re.add(terms.real)
             im.add(terms.imag)
-    return [SeriesValue(complex(re.value(), im.value()), count, float(np.abs(terms).sum()))
-            for (re, im), terms in zip(sums, last)]
+    tails = [float(np.abs(terms).sum()) for terms in last] if last else [0.0] * len(specs)
+    return [SeriesValue(complex(re.value(), im.value()), count, tail)
+            for (re, im), tail in zip(sums, tails)]
 
 
 def modified_series_truncated(spec: TruncationSpec) -> SeriesValue:
@@ -170,13 +227,13 @@ def series_over_range_orders(k: int, orders, ns: np.ndarray,
     ns = np.asarray(ns)
     out = np.zeros((len(orders),) + ns.shape, dtype=np.complex128)
     stops, snapshots, top = set(Qs), {}, max(Qs)
-    for q in range(1, top + 1):
-        a, rows = _coefficient_rows(q, k, orders)
-        idx = ns % q
-        for total, order in zip(out, orders):
-            row = np.zeros(q, dtype=np.complex128)
-            row[a] = rows[order]
-            total += np.fft.fft(row)[idx]  # fft(row)[m] = sum_a w(a) e(-ma/q)
+    for q, _, a, rows in _walk(k, orders, top):
+        if rows is not None:
+            idx = ns % q
+            for total, order in zip(out, orders):
+                row = np.zeros(q, dtype=np.complex128)
+                row[a] = rows[order]
+                total += np.fft.fft(row)[idx]  # fft(row)[m] = sum_a w(a) e(-ma/q)
         if q in stops:
             snapshots[q] = out.copy() if q < top else out
     return [snapshots[Q] for Q in Qs]

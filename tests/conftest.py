@@ -46,6 +46,33 @@ def direct_batch_S(q: int, k: int) -> np.ndarray:
     return out
 
 
+def orbit_batch_S(q: int, k: int) -> np.ndarray:
+    """S(q, a) for all a, from one direct sum per orbit of units, by two
+    identities: S(q, a) = g S(q/g, a/g) with g = gcd(a, q), and
+    S(d, c t^k) = S(d, c) for units c, t mod d (substitute r -> t r).
+
+    For each divisor d of q the units mod d fall into orbits c H under the
+    k-th powers H of units; each orbit costs one O(d) sum with exact integer
+    exponents c r^k mod d, and no DFT.  direct_batch_S is its brute-force
+    check."""
+    out = np.empty(q, dtype=np.complex128)
+    for d in (d for d in range(1, q + 1) if q % d == 0):
+        g = q // d
+        rk = np.array([pow(r, k, d) for r in range(1, d + 1)], dtype=np.int64)
+        c = np.arange(d, dtype=np.int64)
+        units = c[np.gcd(c, d) == 1] if d > 1 else c
+        powers = np.unique(rk[units - 1]) if d > 1 else c  # H; r = d is no unit
+        done = np.zeros(d, dtype=bool)
+        for unit in units.tolist():
+            if done[unit]:
+                continue
+            value = np.exp(2j * np.pi * ((unit * rk) % d) / d).sum()
+            orbit = (unit * powers) % d
+            done[orbit] = True
+            out[orbit * g] = g * value
+    return out
+
+
 def direct_modified_series(k: int, s: int, j: int, n: int, Q: int) -> complex:
     """Double-loop truncated series straight from the definition."""
     total = 0.0 + 0.0j

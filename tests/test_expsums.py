@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import direct_S, direct_T, direct_batch_S
+from conftest import direct_S, direct_T, direct_batch_S, orbit_batch_S
 from waringsums import expsums
 
 
@@ -152,6 +152,13 @@ class TestBatch:
             first[:] = 0
             assert np.array_equal(fn(11, 3), expected)
 
+
+    @pytest.mark.parametrize("k,Q", [(3, 300), (2, 120), (4, 120), (5, 120), (6, 120), (7, 120)])
+    def test_orbit_reference_against_brute_force(self, k, Q):
+        # the two identities behind AC-11's reference, checked on every q <= Q
+        for q in range(1, Q + 1):
+            err = np.max(np.abs(orbit_batch_S(q, k) - direct_batch_S(q, k)))
+            assert err <= 1e-12 * q
 
     def test_pair_equals_separate_rows_from_one_residue_array(self, monkeypatch):
         calls = []

@@ -3,10 +3,35 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (direct_modified_series, direct_power_moment, full_row_moment,
+from conftest import (direct_S, direct_modified_series, direct_power_moment, full_row_moment,
                       full_row_power_moment, loglog_slope, totient_sum)
 from waringsums import expsums, series
 from waringsums.series import TruncationSpec
+
+
+def brute_vanishing(k: int, Q: int) -> list:
+    """The q <= Q with S(q, a) = 0 at every unit a, by the direct sums."""
+    return [q for q in range(1, Q + 1)
+            if max(abs(direct_S(q, a, k)) for a in range(1, q + 1) if math.gcd(a, q) == 1)
+            < 1e-9 * q]
+
+
+# By brute_vanishing(3, 45): every q <= 45 that one of 2, 3, 5, 11, 16, 17,
+# 23, 29 and 41 exactly divides.
+K3_VANISHING = [2, 3, 5, 6, 10, 11, 12, 14, 15, 16, 17, 18, 20, 21, 22, 23, 24, 26, 29,
+                30, 33, 34, 35, 38, 39, 40, 41, 42, 44, 45]
+
+
+def spy(monkeypatch, name: str) -> list:
+    """The (args, kwargs) of each later call of series.<name>, in order."""
+    calls, fn = [], getattr(series, name)
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(series, name, recorded)
+    return calls
 
 
 class TestTruncationSpec:
@@ -165,25 +190,30 @@ class TestOneWalk:
         for got, spec in zip(series.truncated_series(specs), specs):
             assert got == series.modified_series_truncated(spec)
 
+    def test_k3_vanishing_set_by_brute_force(self):
+        assert brute_vanishing(3, 45) == K3_VANISHING
+
     def test_j_walk_builds_residues_once_per_modulus(self, monkeypatch):
-        calls = []
-        power_residues = expsums.power_residues
-        monkeypatch.setattr(expsums, "power_residues",
-                            lambda q, k: calls.append(q) or power_residues(q, k))
+        residues = spy(monkeypatch, "power_residues")
+        transforms = spy(monkeypatch, "binned_dft")
         series.modified_series_truncated(TruncationSpec(3, 13, 77, j=1, Q=40))
         series.series_over_range_orders(3, [(13, 0), (13, 2)], np.arange(5), [40])
-        assert calls == 2 * list(range(1, 41))
+        # rows: exactly the moduli that do not vanish, once per walk, S and T
+        kept = [q for q in range(1, 41) if q not in K3_VANISHING]
+        assert [args[1] for args, _ in transforms] == 2 * [q for q in kept for _ in "ST"]
+        # residues: those moduli, and the vanishing prime powers tested on them
+        tested = [2, 3, 5, 11, 16, 17, 23, 29]
+        assert [args[0] for args, _ in residues] == 2 * sorted(kept + tested)
 
     def test_census_at_several_truncations_is_one_walk(self, monkeypatch):
         Qs = [30, 12, 30, 45]
         singles = [np.abs(series.series_over_range(3, 13, 1, np.arange(1, 201), Q))
                    for Q in Qs]
-        walked = []
-        rows = series._coefficient_rows
-        monkeypatch.setattr(series, "_coefficient_rows",
-                            lambda q, *a: walked.append(q) or rows(q, *a))
+        transforms = spy(monkeypatch, "binned_dft")
         mags = series.census_magnitudes(13, 1, 3, 200, Qs)
-        assert walked == list(range(1, 46))
+        # one walk: each S row that does not vanish once, in increasing q
+        walked = [args[1] for args, kwargs in transforms if not kwargs]
+        assert walked == [q for q in range(1, 46) if q not in K3_VANISHING]
         for got, want in zip(mags, singles):
             assert np.array_equal(got, want)
         count, fraction = series.nonvanishing_census(13, 1, 3, 200, 12, 0.3)
@@ -199,6 +229,57 @@ class TestOneWalk:
                       [TruncationSpec(3, 9, 5, Q=10), TruncationSpec(5, 9, 5, Q=10)]):
             with pytest.raises(ValueError):
                 series.truncated_series(specs)
+
+
+class TestVanishingModuli:
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_exact_flag_agrees_with_rows(self, k):
+        # a seeded grid of q <= 3000, with every higher prime power in range
+        rng = np.random.default_rng(3000 + k)
+        higher = [p**e for p in range(2, 55) if all(p % d for d in range(2, p))
+                  for e in range(2, 12) if p**e <= 3000]
+        for q in sorted({*rng.integers(1, 3001, size=150).tolist(), *higher}):
+            flagged = any(series._units_vanish(expsums.power_residues(pe, k), p)
+                          for p, pe in series._prime_power_parts(q))
+            units = expsums.coprime_residues(q)
+            largest = float(np.max(np.abs(expsums.batch_values(q, k)[units]))) / q
+            assert largest < 1e-12 if flagged else largest > 1e-6, (k, q)
+
+    def test_prime_power_parts_agree_with_the_window_factorization(self):
+        for q, factors in zip(range(1, 3001), series._factorizations(1, 3001)):
+            assert series._prime_power_parts(q) == [(p, p**e) for p, e in factors]
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_walk_skips_exactly_the_vanishing_rows(self, k):
+        skipped = [q for q, _, a, rows in series._walk(k, [(9, 1), (8, 0)], 300)
+                   if rows is None]
+        vanishing = [q for q in range(1, 301) if np.max(np.abs(
+            expsums.batch_values(q, k)[expsums.coprime_residues(q)])) < 1e-12 * q]
+        assert skipped == vanishing and vanishing
+
+    def test_order_with_j_equal_s_skips_nothing(self):
+        walk = series._walk(3, [(9, 1), (4, 4)], 60)
+        assert [(q, rows is not None) for q, _, a, rows in walk] == [
+            (q, True) for q in range(1, 61)]
+
+    @pytest.mark.parametrize("Q", [1, 2, 3, 16, 45, 300])
+    def test_term_count_is_the_totient_sum(self, Q):
+        for j in (0, 1, 9):
+            val = series.truncated_series([TruncationSpec(3, 9, 1234, j=j, Q=Q)])[0]
+            assert val.term_count == totient_sum(Q)
+
+    def test_values_against_double_loop_with_vanishing_moduli(self):
+        ns = np.array([-7, 0, 6, 23, 100], dtype=np.int64)
+        for s, j in ((9, 0), (9, 1), (10, 2)):
+            # Q = 22 = 2 * 11 vanishes for k = 3, Q = 25 does not
+            ranged = series.series_over_range_orders(3, [(s, j)], ns, [22, 25])
+            for Q, rows in zip((22, 25), ranged):
+                for n, got in zip(ns.tolist(), rows[0]):
+                    want = direct_modified_series(3, s, j, n, Q)
+                    val, = series.truncated_series([TruncationSpec(3, s, n, j=j, Q=Q)])
+                    assert val.value == pytest.approx(want, abs=1e-12)
+                    assert got == pytest.approx(want, abs=1e-12)
+                    assert (val.tail_estimate == 0.0) == (Q == 22)
 
 
 class TestPowerMomentSum:
