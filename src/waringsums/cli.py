@@ -170,7 +170,8 @@ def _cmd_expsum(args) -> int:
         svals = np.array([expsums.complete_sum(args.q, args.a, args.k)])
         tvals = np.array([expsums.weighted_sum(args.q, args.a, args.k)])
     else:
-        svals, tvals = expsums.batch_value_pair(args.q, args.k)
+        svals = expsums.batch_values(args.q, args.k)
+        tvals = expsums.batch_weighted_values(args.q, args.k)
         a = np.arange(args.q)
     _emit(args, meta, {"q": [args.q] * len(a), "a": a, "S_re": svals.real,
                        "S_im": svals.imag, "T_re": tvals.real, "T_im": tvals.imag})
@@ -538,7 +539,8 @@ def run(argv: Sequence[str]) -> int:
         return args.handler(args)
     except SystemExit as exc:  # argparse has printed usage and the error
         return int(exc.code or 0)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure, not a usage problem

@@ -36,6 +36,7 @@ __all__ = [
     "lattice_power_sum",
     "lattice_power_sum_asymptotic",
     "symmetric_bernoulli",
+    "VARIANTS",
 ]
 
 VARIANTS = ("two_sided", "positive")

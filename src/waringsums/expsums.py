@@ -25,8 +25,15 @@ import numpy as np
 __all__ = [
     "complete_sum",
     "weighted_sum",
+    "prime_power_parts",
+    "power_residues",
     "coprime_residues",
+    "binned_dft",
+    "batch_values",
+    "batch_weighted_values",
+    "coset_sums",
     "ExactSum",
+    "MAX_MODULUS",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -114,17 +121,28 @@ def power_residues(q: int, k: int) -> np.ndarray:
     return res
 
 
+def prime_power_parts(q: int) -> list[tuple[int, int]]:
+    """The pairs (p, p^e) with p^e exactly dividing q, p increasing, by
+    trial division; q = 1 gives none."""
+    parts, p = [], 2
+    while p * p <= q:
+        if q % p == 0:
+            pe = 1
+            while q % p == 0:
+                q, pe = q // p, pe * p
+            parts.append((p, pe))
+        p += 1
+    if q > 1:
+        parts.append((q, q))
+    return parts
+
+
 def coprime_residues(q: int) -> np.ndarray:
     """Indices a mod q with 1 <= a <= q and gcd(a, q) = 1 (q=1 gives [0]),
-    by sieving out the multiples of every divisor d <= sqrt(q) of q and of
-    q/d, which between them include every prime factor of q."""
-    if q == 1:
-        return np.array([0], dtype=np.int64)
+    by sieving out the multiples of each prime of q."""
     keep = np.ones(q, dtype=bool)
-    keep[0] = False
-    for d in range(2, math.isqrt(q) + 1):
-        if q % d == 0:
-            keep[::d] = keep[:: q // d] = False
+    for p, _ in prime_power_parts(q):
+        keep[::p] = False
     return np.flatnonzero(keep)
 
 
@@ -163,10 +181,11 @@ def weighted_sum(q: int, a: int, k: int) -> complex:
     return _point_value(q, a, k, weighted=True)
 
 
-def binned_dft(residues: np.ndarray, q: int, weighted: bool = False) -> np.ndarray:
-    """conj(FFT) of the length-q histogram of residues, each r weighted by
-    1/2 - r/q when weighted: sum_r w(r) e(a r^k / q) for every a when
-    residues[r-1] = r^k mod q, that is S(q, .) or T(q, .)."""
+def binned_dft(residues: np.ndarray, weighted: bool = False) -> np.ndarray:
+    """conj(FFT) of the length-q histogram of residues, q = residues.size,
+    each r weighted by 1/2 - r/q when weighted: sum_r w(r) e(a r^k / q) for
+    every a when residues[r-1] = r^k mod q, that is S(q, .) or T(q, .)."""
+    q = residues.size
     weights = _weights(q) if weighted else None
     binned = np.bincount(residues, weights=weights, minlength=q).astype(np.float64)
     return np.conj(np.fft.fft(binned))
@@ -180,21 +199,13 @@ def batch_values(q: int, k: int) -> np.ndarray:
     S(q, a) = sum_m c(m) e(a m / q) = conj(FFT(c))[a].
     """
     _validate(q, k)
-    return binned_dft(power_residues(q, k), q)
+    return binned_dft(power_residues(q, k))
 
 
 def batch_weighted_values(q: int, k: int) -> np.ndarray:
     """T(q, a) for all a = 0..q-1, by binning the weights 1/2 - r/q."""
     _validate(q, k)
-    return binned_dft(power_residues(q, k), q, weighted=True)
-
-
-def batch_value_pair(q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(batch_values(q, k), batch_weighted_values(q, k)), bit for bit, from
-    one residue array."""
-    _validate(q, k)
-    residues = power_residues(q, k)
-    return binned_dft(residues, q), binned_dft(residues, q, weighted=True)
+    return binned_dft(power_residues(q, k), weighted=True)
 
 
 def coset_sums(p: int, k: int) -> np.ndarray:

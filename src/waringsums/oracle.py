@@ -74,7 +74,7 @@ class RepCountTable:
         return self.counts[n]
 
 
-def kth_powers(k: int, N: int) -> List[int]:
+def _kth_powers(k: int, N: int) -> List[int]:
     """All y^k <= N with y >= 1."""
     return [y**k for y in range(1, _series.integer_kth_root(N, k) + 1)]
 
@@ -91,7 +91,7 @@ def _width_bits_for(k: int, s: int, N: int, signed: bool) -> int:
         raise ValueError("N must be >= 1")
     if k < 2:
         raise ValueError("k must be >= 2")
-    per_slot = (2 if signed else 1) * len(kth_powers(k, N)) + 1
+    per_slot = (2 if signed else 1) * len(_kth_powers(k, N)) + 1
     bound_bits = (per_slot**s).bit_length() + 1
     return max(MIN_WIDTH_BITS, 8 * ((bound_bits + 7) // 8))
 
@@ -138,7 +138,7 @@ def _carry(acc: np.ndarray, w: int) -> np.ndarray:
 
 def _build_table(k: int, s: int, N: int, signed: bool) -> RepCountTable:
     width_bits = _width_bits_for(k, s, N, signed)
-    powers = kth_powers(k, N)
+    powers = _kth_powers(k, N)
     # One step multiplies the largest limb by less than this factor, so
     # limbs of w bits stay below 2**63 through the next step.
     growth = (2 if signed else 1) * len(powers) + 1
@@ -187,7 +187,7 @@ def count_by_enumeration(k: int, s: int, N: int, signed: bool = False) -> RepCou
     magnitude twice), which counts ordered sign choices exactly.
     """
     width_bits = _width_bits_for(k, s, N, signed)
-    powers = kth_powers(k, N)
+    powers = _kth_powers(k, N)
     items = ([(0, 1)] if signed else []) + [(yk, 2 if signed else 1) for yk in powers]
     counts = [0] * (N + 1)
 

@@ -27,9 +27,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .expsums import (MAX_MODULUS, ExactSum, batch_values, binned_dft, coprime_residues,
-                      coset_sums, power_residues)
+                      coset_sums, power_residues, prime_power_parts)
 
 __all__ = [
+    "integer_kth_root",
     "TruncationSpec",
     "SeriesValue",
     "truncated_series",
@@ -114,22 +115,6 @@ class SeriesValue:
     tail_estimate: float
 
 
-def _prime_power_parts(q: int) -> list[tuple[int, int]]:
-    """The pairs (p, p^e) with p^e exactly dividing q, p increasing, by
-    trial division."""
-    parts, p = [], 2
-    while p * p <= q:
-        if q % p == 0:
-            pe = 1
-            while q % p == 0:
-                q, pe = q // p, pe * p
-            parts.append((p, pe))
-        p += 1
-    if q > 1:
-        parts.append((q, q))
-    return parts
-
-
 def _units_vanish(residues: np.ndarray, p: int) -> bool:
     """Whether S(q, a) = 0 at every unit a mod q = p^e, given
     residues[r-1] = r^k mod q for r = 1..q.
@@ -160,7 +145,7 @@ def _walk(k: int, orders, Q: int):
     weighted = any(j for _, j in orders)
     vanishing = set()  # the prime powers p^e < q with S(p^e, .) = 0 on the units
     for q in range(1, Q + 1):
-        parts = _prime_power_parts(q)
+        parts = prime_power_parts(q)
         phi = math.prod(pe - pe // p for p, pe in parts)
         if any(pe in vanishing for _, pe in parts):
             yield q, phi, None, None
@@ -171,8 +156,8 @@ def _walk(k: int, orders, Q: int):
             yield q, phi, None, None
             continue
         a = coprime_residues(q)
-        S = binned_dft(residues, q)[a] / q
-        T = binned_dft(residues, q, weighted=True)[a] if weighted else None
+        S = binned_dft(residues)[a] / q
+        T = binned_dft(residues, weighted=True)[a] if weighted else None
         yield q, phi, a, {(s, j): S ** (s - j) * T**j if j else S ** (s - j)
                           for s, j in orders}
 
@@ -244,36 +229,14 @@ def series_over_range(k: int, s: int, j: int, ns: np.ndarray, Q: int) -> np.ndar
     return series_over_range_orders(k, [(s, j)], ns, [Q])[0][0]
 
 
-def _factorizations(b0: int, b1: int) -> list[list[tuple[int, int]]]:
-    """The pairs (p, e) with p^e exactly dividing q, p increasing, for each
-    q in [b0, b1), by trial division up to sqrt(b1) only, so a narrow
-    window far out costs O(sqrt(b1)) plus O(width) per divisor.  A
-    composite divisor finds its primes already divided out."""
-    rest = list(range(b0, b1))
-    factors = [[] for _ in rest]
-    for p in range(2, math.isqrt(b1 - 1) + 1):
-        for i in range(-b0 % p, len(rest), p):
-            e = 0
-            while rest[i] % p == 0:
-                rest[i] //= p
-                e += 1
-            if e:
-                factors[i].append((p, e))
-    for f, r in zip(factors, rest):
-        if r > 1:
-            f.append((r, 1))
-    return factors
-
-
-def _local_moment(p: int, e: int, k: int, u: int) -> float:
-    """f(p^e) = sum_{(a,p)=1} |S(p^e,a)/p^e|^u.  A prime uses one sum per
-    coset of the k-th powers, each counted (p-1)/d times; a higher power
-    of p uses its full DFT row."""
-    if e == 1:
+def _local_moment(p: int, pe: int, k: int, u: int) -> float:
+    """f(p^e) = sum_{(a,p)=1} |S(p^e,a)/p^e|^u, given p and pe = p^e.  A
+    prime uses one sum per coset of the k-th powers, each counted (p-1)/d
+    times; a higher power of p uses its full DFT row."""
+    if pe == p:
         values = coset_sums(p, k)
         return (p - 1) // values.size * math.fsum((np.abs(values / p) ** u).tolist())
-    q = p**e
-    mags = np.abs(batch_values(q, k)[coprime_residues(q)]) / q
+    mags = np.abs(batch_values(pe, k)[coprime_residues(pe)]) / pe
     return math.fsum((mags**u).tolist())
 
 
@@ -290,19 +253,17 @@ def power_moment_sum(lo: float, hi: float, u: int, theta: float, k: int) -> floa
         raise ValueError("need 1 <= lo < hi < inf")
     if u < 1:
         raise ValueError("u must be a positive integer")
-    b0, b1 = math.ceil(lo), math.ceil(hi)
-    local = {}  # f(p^e), built once per call
+    local = {}  # f(p^e) by p^e, built once per call
 
-    def row(q: int, factors) -> float:
+    def row(q: int) -> float:
         f = 1.0
-        for pe in factors:
+        for p, pe in prime_power_parts(q):
             if pe not in local:
-                local[pe] = _local_moment(*pe, k, u)
+                local[pe] = _local_moment(p, pe, k, u)
             f *= local[pe]
         return q**theta * f
 
-    return math.fsum(row(q, factors) for q, factors in
-                     zip(range(b0, b1), _factorizations(b0, b1)))
+    return math.fsum(row(q) for q in range(math.ceil(lo), math.ceil(hi)))
 
 
 def negation_identity_residual(s: int, n: int, Q: int, k: int) -> float:

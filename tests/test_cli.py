@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -39,6 +40,21 @@ class TestParsing:
                                          "--Q", "2..3", "--trunc", "50"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,bad", [
+        (["expsum", "--k", "3", "--q", "5", "-o", "{dir}"], "{dir}"),
+        (["oracle", "--k", "2", "--s", "2", "--n-max", "20", "--binary-out", "{dir}"], "{dir}"),
+        (["expsum", "--k", "3", "--q", "5", "--config", "{dir}"], "{dir}"),
+        (["expsum", "--k", "3", "--q", "5", "-o", "{file}/x"], "{file}/x"),
+        (["oracle", "--k", "2", "--s", "2", "--n-max", "20", "--cache-dir", "{file}"], "{file}"),
+    ], ids=["-o dir", "--binary-out dir", "--config dir", "-o file/x", "--cache-dir file"])
+    def test_path_naming_the_wrong_kind_of_entry_exits_2(self, tmp_path, capsys, argv, bad):
+        paths = {"dir": tmp_path / "d", "file": tmp_path / "f"}
+        paths["dir"].mkdir()
+        paths["file"].write_text("")
+        assert cli.run([a.format(**paths) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and bad.format(**paths) in err
 
     def test_int_list_forms(self):
         assert cli._parse_int_list("2..5") == [2, 3, 4, 5]
@@ -617,5 +633,10 @@ def test_importing_series_loads_only_what_it_uses():
 def test_every_name_in_all_resolves(module):
     namespace = {}
     exec(f"from waringsums.{module} import *", namespace)
-    listed = importlib.import_module(f"waringsums.{module}").__all__
-    assert listed and set(listed) <= set(namespace)
+    loaded = importlib.import_module(f"waringsums.{module}")
+    assert loaded.__all__ and set(loaded.__all__) <= set(namespace)
+    # and every public function or class the module defines is listed
+    defined = {name for name, value in vars(loaded).items()
+               if not name.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
+               and value.__module__ == loaded.__name__}
+    assert sorted(defined - set(loaded.__all__)) == []

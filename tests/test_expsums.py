@@ -160,18 +160,6 @@ class TestBatch:
             err = np.max(np.abs(orbit_batch_S(q, k) - direct_batch_S(q, k)))
             assert err <= 1e-12 * q
 
-    def test_pair_equals_separate_rows_from_one_residue_array(self, monkeypatch):
-        calls = []
-        power_residues = expsums.power_residues
-        monkeypatch.setattr(expsums, "power_residues",
-                            lambda q, k: calls.append(q) or power_residues(q, k))
-        for q, k in ((1, 3), (2, 2), (97, 3), (360, 4), (1001, 5)):
-            S, T = expsums.batch_value_pair(q, k)
-            assert calls[-1:] == [q] and len(calls) == 1
-            assert np.array_equal(S, expsums.batch_values(q, k))
-            assert np.array_equal(T, expsums.batch_weighted_values(q, k))
-            calls.clear()
-
 
 class TestCosetSums:
     @pytest.mark.parametrize("p,k", [(7, 3), (13, 4), (13, 6), (101, 2), (31, 5), (3, 3)])
@@ -213,7 +201,8 @@ class TestCoprimeResidues:
         return [a for a in range(1, q) if math.gcd(a, q) == 1] if q > 1 else [0]
 
     @pytest.mark.parametrize("qs", [range(1, 700), [1024, 1031, 2 * 3 * 5 * 7 * 11 * 13,
-                                                    3**7, 997 * 2, 997**2, 65536 + 1]])
+                                                    3**7, 997 * 2, 997**2, 65536 + 1,
+                                                    3 * 1009, 2**16, 7**5]])
     def test_sieve_equals_gcd_definition(self, qs):
         for q in qs:
             got = expsums.coprime_residues(q)

@@ -200,7 +200,7 @@ class TestOneWalk:
         series.series_over_range_orders(3, [(13, 0), (13, 2)], np.arange(5), [40])
         # rows: exactly the moduli that do not vanish, once per walk, S and T
         kept = [q for q in range(1, 41) if q not in K3_VANISHING]
-        assert [args[1] for args, _ in transforms] == 2 * [q for q in kept for _ in "ST"]
+        assert [args[0].size for args, _ in transforms] == 2 * [q for q in kept for _ in "ST"]
         # residues: those moduli, and the vanishing prime powers tested on them
         tested = [2, 3, 5, 11, 16, 17, 23, 29]
         assert [args[0] for args, _ in residues] == 2 * sorted(kept + tested)
@@ -212,7 +212,7 @@ class TestOneWalk:
         transforms = spy(monkeypatch, "binned_dft")
         mags = series.census_magnitudes(13, 1, 3, 200, Qs)
         # one walk: each S row that does not vanish once, in increasing q
-        walked = [args[1] for args, kwargs in transforms if not kwargs]
+        walked = [args[0].size for args, kwargs in transforms if not kwargs]
         assert walked == [q for q in range(1, 46) if q not in K3_VANISHING]
         for got, want in zip(mags, singles):
             assert np.array_equal(got, want)
@@ -240,14 +240,10 @@ class TestVanishingModuli:
                   for e in range(2, 12) if p**e <= 3000]
         for q in sorted({*rng.integers(1, 3001, size=150).tolist(), *higher}):
             flagged = any(series._units_vanish(expsums.power_residues(pe, k), p)
-                          for p, pe in series._prime_power_parts(q))
+                          for p, pe in expsums.prime_power_parts(q))
             units = expsums.coprime_residues(q)
             largest = float(np.max(np.abs(expsums.batch_values(q, k)[units]))) / q
             assert largest < 1e-12 if flagged else largest > 1e-6, (k, q)
-
-    def test_prime_power_parts_agree_with_the_window_factorization(self):
-        for q, factors in zip(range(1, 3001), series._factorizations(1, 3001)):
-            assert series._prime_power_parts(q) == [(p, p**e) for p, e in factors]
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_walk_skips_exactly_the_vanishing_rows(self, k):
@@ -335,7 +331,7 @@ class TestMomentFactors:
         d = math.gcd(k, p - 1)
         assert expsums.coset_sums(p, k).size == d
         for u in (4, 8):
-            got = series._local_moment(p, 1, k, u)
+            got = series._local_moment(p, p, k, u)
             if d == 1:
                 assert got == 0.0
             else:
@@ -354,13 +350,17 @@ class TestMomentFactors:
         assert series.power_moment_sum(lo, hi, u, theta, k) == pytest.approx(
             full_row_power_moment(lo, hi, u, theta, k), rel=1e-12)
 
-    @pytest.mark.parametrize("b0,b1", [(1, 2), (2, 3), (1, 500), (4090, 4100), (10**6, 10**6 + 50)])
+    @pytest.mark.parametrize("b0,b1", [(1, 2), (2, 3), (1, 500), (4090, 4100), (10**6, 10**6 + 50),
+                                       (1, 3001)])
     def test_factorizations(self, b0, b1):
-        for q, factors in zip(range(b0, b1), series._factorizations(b0, b1)):
-            ps = [p for p, _ in factors]
-            assert ps == sorted(set(ps)) and all(e >= 1 for _, e in factors)
+        for q in range(b0, b1):
+            parts = expsums.prime_power_parts(q)
+            ps = [p for p, _ in parts]
+            assert ps == sorted(set(ps))
             assert all(all(p % d for d in range(2, math.isqrt(p) + 1)) for p in ps)
-            assert math.prod(p**e for p, e in factors) == q
+            # each pe is a positive power of its p
+            assert all(pe % p == 0 and p ** round(math.log(pe, p)) == pe for p, pe in parts)
+            assert math.prod(pe for _, pe in parts) == q
 
 
 class TestNegationIdentity:
