@@ -1,9 +1,10 @@
 """Command-line front end: experiment orchestration and CSV/JSON output.
 
-Every subcommand passes its table, column by column, to one emitter:
-CSV by default (comma separated, `.` decimal, `#`-prefixed comment
-header carrying the tool version and the full parameter set) or a JSON
-mirror behind --json.  Floats print with 15 significant digits, -0 as 0.
+Every subcommand passes its table to one emitter, column by column or,
+for residuals, in blocks of rows formed as they are written: CSV by
+default (comma separated, `.` decimal, `#`-prefixed comment header
+carrying the tool version and the full parameter set) or a JSON mirror
+behind --json.  Floats print with 15 significant digits, -0 as 0.
 Reductions are deterministic: identical configuration, identical bytes.
 A --config file supplies option defaults; flags on the command line win.
 
@@ -14,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,44 +31,55 @@ __all__ = ["build_parser", "run", "main"]
 
 ROWS_PER_WRITE = 4096  # CSV rows formatted per write, which bounds the emitter's memory
 _INT64 = np.iinfo(np.int64)
+_FLOAT = "%.15g"  # the format of every float cell
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 # ----------------------------- plumbing -----------------------------------
 
-def _column(values) -> Tuple[List[str], Sequence]:
-    """A column's CSV cells, and its values as a float64 array when they
-    are floats, else as a list.  Floats print with 15 significant digits
-    and -0 as 0; anything else prints by str."""
+def _cells(values) -> Tuple[str, list]:
+    """A column's format spec and the values it formats, the one rule for
+    the CSV body, the header and the JSON mirror: _FLOAT for floats, with
+    0.0 added so that -0 prints as 0, and '%s' for anything else."""
     if isinstance(values, np.ndarray):
-        values = values if values.dtype.kind == "f" else values.tolist()
-    elif all(isinstance(v, float) for v in values):
-        values = np.array(values, dtype=np.float64)
-    if isinstance(values, np.ndarray):
-        return list(map("{:.15g}".format, (values + 0.0).tolist())), values
+        if values.dtype.kind == "f":
+            return _FLOAT, (values + 0.0).tolist()
+        return "%s", values.tolist()
     values = list(values)
-    return list(map(str, values)), values
+    if all(isinstance(v, float) for v in values):
+        return _FLOAT, [v + 0.0 for v in values]
+    return "%s", values
 
 
-def _emit(args, meta: dict, columns: Dict[str, Sequence]) -> None:
-    """Write one table, given column by column, as CSV or its JSON mirror.
-    CSV rows are formatted and written ROWS_PER_WRITE at a time."""
+def _emit(args, meta: dict, columns, blocks: Optional[Iterable[Sequence]] = None) -> None:
+    """Write one table as CSV or its JSON mirror.  columns maps each name
+    to its values; or it lists the names, and blocks yields the table a
+    few rows at a time, each block one sequence of values per column.  CSV
+    is written ROWS_PER_WRITE rows at a time, each by one % format."""
+    if blocks is None:
+        columns, blocks = list(columns), [list(columns.values())]
     with (contextlib.nullcontext(sys.stdout) if args.output in (None, "-")
           else open(args.output, "w", encoding="utf-8")) as fh:
         if args.json:
             # a float is written as the value its CSV text reads back as
-            values = [list(map(float, text)) if isinstance(v, np.ndarray) else v
-                      for text, v in map(_column, columns.values())]
+            values = [[] for _ in columns]
+            for block in blocks:
+                for out, (spec, cells) in zip(values, map(_cells, block)):
+                    out += [float(spec % v) for v in cells] if spec == _FLOAT else cells
             payload = {"tool": "waringsums", "version": __version__, "meta": meta,
                        "columns": list(columns), "rows": list(zip(*values))}
             fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        else:
-            settings = (f"{k}={_column([int(v) if isinstance(v, bool) else v])[0][0]}"
-                        for k, v in sorted(meta.items()))
-            fh.write(f"# waringsums {__version__}\n# {' '.join(settings)}\n"
-                     f"{','.join(columns)}\n")
-            for lo in range(0, len(next(iter(columns.values()))), ROWS_PER_WRITE):
-                cells = [_column(v[lo : lo + ROWS_PER_WRITE])[0] for v in columns.values()]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            return
+        settings = []
+        for key, value in sorted(meta.items()):
+            spec, (cell,) = _cells([int(value) if isinstance(value, bool) else value])
+            settings.append(f"{key}={spec % cell}")
+        fh.write(f"# waringsums {__version__}\n# {' '.join(settings)}\n{','.join(columns)}\n")
+        for block in blocks:
+            for lo in range(0, len(block[0]), ROWS_PER_WRITE):
+                specs, cells = zip(*(_cells(v[lo : lo + ROWS_PER_WRITE]) for v in block))
+                row = ",".join(specs) + "\n"
+                fh.write(row * len(cells[0]) % tuple(itertools.chain.from_iterable(zip(*cells))))
 
 
 def _parse_int_list(text: str) -> List[int]:
@@ -139,6 +152,7 @@ def _cached_table(k: int, s: int, N: int, cache_dir: Optional[str]) -> oracle.Re
     if not cache_dir:
         return oracle.count_representations(k, s, N)
     path = Path(cache_dir) / f"wrc_k{k}_s{s}_N{N}_unsigned.bin"
+    path.parent.mkdir(parents=True, exist_ok=True)  # a bad directory fails before any count
     if path.exists():
         try:
             table = oracle.read_binary(str(path))
@@ -149,7 +163,6 @@ def _cached_table(k: int, s: int, N: int, cache_dir: Optional[str]) -> oracle.Re
             if (table.k, table.s, table.N, table.signed) == (k, s, N, False):
                 return table
     table = oracle.count_representations(k, s, N)
-    path.parent.mkdir(parents=True, exist_ok=True)
     # A temporary file renamed into place: readers never see a partial table.
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -234,23 +247,37 @@ def _cmd_residuals(args) -> int:
     meta = {"subcommand": "residuals", "k": args.k, "s": args.s, "J": args.J,
             "n_min": args.n_min, "n_max": args.n_max, "Q": args.Q}
     orders = range(args.J + 1)
-    _emit(args, meta, {"n": res.ns, "exact": res.exact,
-                       **{f"pred{j}": res.predicted[j] for j in orders},
-                       **{f"E{j}": res.residuals[j] for j in orders}})
+
+    def blocks():  # the rows are formed a block at a time, as they are written
+        for lo in range(0, len(res), ROWS_PER_WRITE):
+            exact, predicted, residuals = res.rows(lo, lo + ROWS_PER_WRITE)
+            yield [res.ns[lo : lo + ROWS_PER_WRITE], exact, *predicted, *residuals]
+
+    _emit(args, meta, ["n", "exact", *(f"pred{j}" for j in orders),
+                       *(f"E{j}" for j in orders)], blocks())
     return 0
 
 
 def _cmd_em_verify(args) -> int:
     xs = _parse_int_list(args.X)
+    specs = [eulermac.LatticeSumSpec(args.q, args.r, x, args.theta, args.k, args.N)
+             for x in xs]
+    for x in xs:
+        # at most 2X/q + 1 terms, each at most X^(k theta): a float holds the sum
+        terms = math.log(2 * x + args.q) - math.log(args.q)
+        if args.k * args.theta * math.log(x) + terms >= _LOG_MAX:
+            raise ValueError(f"--theta {args.theta} is too large for --k {args.k} at "
+                             f"--X {x}: the direct sum could pass the largest float")
+    # the asymptotics validate N and the variant, so they run first
+    asymptotics = [eulermac.progression_power_sum_asymptotic(spec, args.variant)
+                   for spec in specs]
 
-    def one(x: int):
-        spec = eulermac.LatticeSumSpec(args.q, args.r, x, args.theta, args.k, args.N)
-        # the asymptotic validates N and the variant, so it runs first
-        main, psi, scale = eulermac.progression_power_sum_asymptotic(spec, args.variant)
+    def one(spec, asymptotic):
+        main, psi, scale = asymptotic
         direct = eulermac.progression_power_sum(spec, args.variant)
         return direct, main, psi, (direct - main - psi) / scale
 
-    direct, main, psi, error = zip(*map(one, xs))
+    direct, main, psi, error = zip(*map(one, specs, asymptotics))
     meta = {"subcommand": "em-verify", "k": args.k, "theta": args.theta,
             "q": args.q, "r": args.r, "N": args.N, "variant": args.variant}
     _emit(args, meta, {"X": xs, "direct": direct, "main": main, "psi": psi,
@@ -532,10 +559,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_file_flags(args) -> None:
+    """Refuse, before any work, an -o or --binary-out file that cannot be
+    opened for writing because it is a directory or its parent is none."""
+    paths = {"-o": None if args.output == "-" else args.output,
+             "--binary-out": getattr(args, "binary_out", None)}
+    for flag, path in paths.items():
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            raise IsADirectoryError(f"{flag} {path} is a directory")
+        if not Path(path).parent.is_dir():
+            raise NotADirectoryError(f"{flag} {path}: {Path(path).parent} is not a directory")
+
+
 def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = _apply_config(parser, parser.parse_args(argv), argv)
+        _check_file_flags(args)
         return args.handler(args)
     except SystemExit as exc:  # argparse has printed usage and the error
         return int(exc.code or 0)

@@ -72,6 +72,8 @@ def coefficient_prefactors(s: int, J: int, k: int) -> list[float]:
     (s, J, k), so callers assembling coefficients elsewhere inherit the
     same guards.
     """
+    if k < 2:  # first: the checks below divide by k
+        raise ValueError(f"k must be >= 2, got {k}")
     if J < 0:
         raise ValueError("J must be >= 0")
     if s - J < 1:

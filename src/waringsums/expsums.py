@@ -38,8 +38,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# The largest modulus with exact int64 residues: both factors of res * r in
-# power_residues are at most q - 1, and (q - 1)^2 < 2^63 exactly up to here.
+# The largest modulus with exact int64 residues: both factors of every product
+# in power_residues are at most q - 1, and (q - 1)^2 < 2^63 exactly up to here.
 MAX_MODULUS = 3_037_000_500
 
 _LOW_BITS = np.uint64((1 << 26) - 1)  # mantissa bits moved into the remainder
@@ -110,14 +110,19 @@ def _validate(q: int, k: int) -> None:
 
 
 def power_residues(q: int, k: int) -> np.ndarray:
-    """r^k mod q for r = 1..q, as int64, via exact repeated multiply-mod."""
+    """r^k mod q for r = 1..q, as int64, by exact square-and-multiply: about
+    2 log2(k) multiply-mods, each of two residues below q."""
     # Compared directly: squaring an int64 q could itself wrap.
     if q > MAX_MODULUS:
         raise ValueError(f"q = {q} is too large for exact int64 residues")
-    r = np.arange(1, q + 1, dtype=np.int64) % q
+    base = np.arange(1, q + 1, dtype=np.int64) % q
     res = np.ones(q, dtype=np.int64)
-    for _ in range(k):
-        res = (res * r) % q
+    while k > 0:
+        if k & 1:
+            res = res * base % q
+        k >>= 1
+        if k:
+            base = base * base % q
     return res
 
 

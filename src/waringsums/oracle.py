@@ -109,16 +109,18 @@ def _encode(counts: Sequence[int], wbytes: int) -> bytearray:
 
 
 def _decode(raw: bytes, wbytes: int) -> List[int]:
-    """The counts of an _encode layout: each entry is read as uint64
-    words, and each word column holding a nonzero word is shifted in."""
+    """The counts of an _encode layout (wbytes >= 8): each entry's whole
+    8-byte words are read in place as uint64 and its last wbytes % 8 bytes
+    one by one, and each column holding a nonzero value is shifted in."""
     entries = np.frombuffer(raw, dtype=np.uint8).reshape(-1, wbytes)
-    padded = np.zeros((len(entries), 8 * -(-wbytes // 8)), dtype=np.uint8)
-    padded[:, :wbytes] = entries
-    words = padded.view("<u8")
-    counts = words[:, 0].tolist()
-    for i in range(1, words.shape[1]):
-        if words[:, i].any():
-            counts = [c | w << 64 * i for c, w in zip(counts, words[:, i].tolist())]
+    whole = wbytes // 8 * 8
+    words = entries[:, :whole].view("<u8")
+    columns = [(64 * i, words[:, i]) for i in range(whole // 8)]
+    columns += [(8 * b, entries[:, b]) for b in range(whole, wbytes)]
+    counts = columns[0][1].tolist()
+    for shift, column in columns[1:]:
+        if column.any():
+            counts = [c | w << shift for c, w in zip(counts, column.tolist())]
     return counts
 
 
@@ -232,16 +234,40 @@ def verify_inversion(k: int, s: int, N: int) -> Optional[tuple]:
 
 @dataclass(frozen=True, eq=False)
 class ResidualTable:
-    """The columns of residual_table: ns, the exact counts as ints, and
-    (J+1, len(ns)) float arrays predicted and residuals."""
+    """The rows of residual_table.  It holds ns, the count table and the
+    (J+1, len(ns)) coefficients c_j(n), and nothing else as long as ns:
+    rows(lo, hi) forms the exact counts (as ints) and the (J+1, hi-lo)
+    float arrays predicted and residuals of a slice of rows, and the
+    properties exact, predicted and residuals form them for every row."""
 
     ns: np.ndarray
-    exact: list
-    predicted: np.ndarray
-    residuals: np.ndarray
+    table: RepCountTable
+    coefficients: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.exact)
+        return len(self.ns)
+
+    def rows(self, lo: int, hi: int) -> tuple[list, np.ndarray, np.ndarray]:
+        """(exact, predicted, residuals) of the rows lo..hi-1; each row's
+        values are the same bits whatever slice it is formed in."""
+        ns = self.ns[lo:hi]
+        first = int(self.ns[0]) + lo
+        exact = list(self.table.counts[first : first + len(ns)])
+        predicted = _expansion.expansion_partial_sums(ns, self.table.s, self.table.k,
+                                                      self.coefficients[:, lo:hi])
+        return exact, predicted, np.array([float(c) for c in exact]) - predicted
+
+    @property
+    def exact(self) -> list:
+        return self.rows(0, len(self))[0]
+
+    @property
+    def predicted(self) -> np.ndarray:
+        return self.rows(0, len(self))[1]
+
+    @property
+    def residuals(self) -> np.ndarray:
+        return self.rows(0, len(self))[2]
 
 
 def residual_table(counts: RepCountTable, J: int, n_min: int, n_max: int,
@@ -250,7 +276,9 @@ def residual_table(counts: RepCountTable, J: int, n_min: int, n_max: int,
 
     predicted_j(n) sums the expansion through order j with coefficients
     truncated at level Q; residuals are exact - predicted_j, computed as
-    float(exact) - predicted_j, which is what int - float gives.
+    float(exact) - predicted_j, which is what int - float gives.  Only the
+    coefficients are computed here, in place over the real parts of the
+    series values; the rest is formed by the table's rows().
     """
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
@@ -260,12 +288,9 @@ def residual_table(counts: RepCountTable, J: int, n_min: int, n_max: int,
     prefactors = _expansion.coefficient_prefactors(s, J, k)
     ns = np.arange(n_min, n_max + 1, dtype=np.int64)
     orders = [_expansion.series_order(k, s, j) for j in range(J + 1)]
-    vals = _series.series_over_range_orders(k, orders, ns, [Q])[0].real
-    coeffs = np.array(prefactors)[:, None] * vals
-    predicted = _expansion.expansion_partial_sums(ns, s, k, coeffs)
-    exact = list(counts.counts[n_min : n_max + 1])
-    residuals = np.array([float(c) for c in exact]) - predicted
-    return ResidualTable(ns, exact, predicted, residuals)
+    coeffs = _series.series_over_range_orders(k, orders, ns, [Q], real=True)[0]
+    coeffs *= np.array(prefactors)[:, None]
+    return ResidualTable(ns, counts, coeffs)
 
 
 def write_binary(table: RepCountTable, path: str) -> None:

@@ -195,11 +195,12 @@ def modified_series_truncated(spec: TruncationSpec) -> SeriesValue:
 
 
 def series_over_range_orders(k: int, orders, ns: np.ndarray,
-                             Qs: Sequence[int]) -> list[np.ndarray]:
+                             Qs: Sequence[int], real: bool = False) -> list[np.ndarray]:
     """For each truncation Q in Qs, an array whose row i holds the series
     of orders[i] = (s, j) at every n in ns, all from one walk over
     q <= max(Qs); the running sum is copied as it passes each Q below
-    the last.
+    the last.  With real, the arrays are float and hold only the real
+    parts, the same bits as the real parts of the complex sums.
 
     For each modulus the row w (zero off the coprime residues) satisfies
     value_q(n) = DFT(w)[n mod q], so each order costs one DFT plus one
@@ -210,7 +211,7 @@ def series_over_range_orders(k: int, orders, ns: np.ndarray,
     for Q in Qs:
         _check_walk(k, orders, Q)
     ns = np.asarray(ns)
-    out = np.zeros((len(orders),) + ns.shape, dtype=np.complex128)
+    out = np.zeros((len(orders),) + ns.shape, dtype=np.float64 if real else np.complex128)
     stops, snapshots, top = set(Qs), {}, max(Qs)
     for q, _, a, rows in _walk(k, orders, top):
         if rows is not None:
@@ -218,7 +219,8 @@ def series_over_range_orders(k: int, orders, ns: np.ndarray,
             for total, order in zip(out, orders):
                 row = np.zeros(q, dtype=np.complex128)
                 row[a] = rows[order]
-                total += np.fft.fft(row)[idx]  # fft(row)[m] = sum_a w(a) e(-ma/q)
+                dft = np.fft.fft(row)  # dft[m] = sum_a w(a) e(-ma/q)
+                total += (dft.real if real else dft)[idx]
         if q in stops:
             snapshots[q] = out.copy() if q < top else out
     return [snapshots[Q] for Q in Qs]

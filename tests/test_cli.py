@@ -9,6 +9,8 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,29 @@ class TestParsing:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and bad.format(**paths) in err
 
+    @pytest.mark.parametrize("argv, bad", [
+        ("series --k 3 --s 9 --j 1 --n-min 1 --n-max 20000 --Q 1500 -o {dir}", "{dir}"),
+        ("expansion --k 3 --s 13 --J 2 --n 77777 --Q 300 -o {file}/x", "{file}/x"),
+        ("oracle --k 2 --s 9 --n-max 200000 --binary-out {dir}", "{dir}"),
+        ("oracle --k 2 --s 9 --n-max 200000 --binary-out {file}/x", "{file}/x"),
+        ("oracle --k 2 --s 9 --n-max 200000 --cache-dir {file}", "{file}"),
+        ("residuals --k 3 --s 13 --J 2 --n-max 3000 --Q 60 --cache-dir {file}", "{file}"),
+        ("residuals --k 3 --s 13 --J 2 --n-max 3000 --Q 60 -o {dir}", "{dir}"),
+    ])
+    def test_path_flags_are_checked_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                    argv, bad):
+        def work(*args):
+            raise AssertionError("counting or walking began")
+
+        monkeypatch.setattr(oracle, "_build_table", work)
+        monkeypatch.setattr(series, "_walk", work)
+        paths = {"dir": tmp_path / "d", "file": tmp_path / "f"}
+        paths["dir"].mkdir()
+        paths["file"].write_text("")
+        assert cli.run(argv.format(**paths).split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and bad.format(**paths) in err
+
     def test_int_list_forms(self):
         assert cli._parse_int_list("2..5") == [2, 3, 4, 5]
         assert cli._parse_int_list("10,20,30") == [10, 20, 30]
@@ -90,6 +115,15 @@ class TestExpsumCommand:
         assert code_a == code_b == 0
         assert first and first == second
 
+
+    def test_huge_k_is_raised_by_squaring(self, capsys):
+        # 10^11 = 4 mod 6, so r^k = r^4 mod 7 for every r
+        start = time.process_time()
+        assert cli.run("expsum --k 100000000000 --q 7".split()) == 0
+        assert time.process_time() - start < 2.0
+        huge = capsys.readouterr().out.splitlines()
+        assert cli.run("expsum --k 4 --q 7".split()) == 0
+        assert huge[3:] == capsys.readouterr().out.splitlines()[3:] and len(huge) == 10
 
     def test_oversized_batch_is_refused_before_allocating(self, monkeypatch, capsys):
         arange = np.arange
@@ -183,6 +217,20 @@ class TestWalkValidation:
         assert cli.run(argv.split()) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {flag} ")
+
+    @pytest.mark.parametrize("argv, named", [
+        ("expansion --k 0 --s 13 --J 2 --n 5 --Q 10", "error: k must be >= 2, got 0"),
+        ("em-verify --k 2 --theta 1e308 --q 11 --r 1 --X 100", "error: --theta 1e+308 "),
+    ])
+    def test_refused_before_any_work_naming_its_flag(self, monkeypatch, capsys, argv, named):
+        def work(*args):
+            raise AssertionError("the work began")
+
+        monkeypatch.setattr(series, "_walk", work)
+        monkeypatch.setattr(eulermac, "progression_power_sum", work)
+        assert cli.run(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(named)
 
     def test_int64_range_up_to_its_last_stop(self, capsys):
         top, bottom = 2**63 - 2, -(2**63)
@@ -528,6 +576,22 @@ class TestOutputModes:
             _, blocks = run_to_file(tmp_path, argv, f"b{rows}.csv")
             assert blocks == whole
         assert len(whole.splitlines()) == 3 + 61
+
+    def test_residuals_hold_few_bytes_per_row(self, monkeypatch):
+        # only ns and the (J+1) coefficients are held per row (32 B here); the
+        # predictions, residuals and text are formed a block at a time
+        table = oracle.count_representations(3, 13, 26000)
+        monkeypatch.setattr(cli, "_cached_table", lambda *args: table)
+        peaks = []
+        for n_max in (6000, 26000):
+            tracemalloc.start()
+            try:
+                assert cli.run(f"residuals --k 3 --s 13 --J 2 --n-min 1001 --n-max {n_max} "
+                               "--Q 60 -o /dev/null".split()) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 20000 < 64
 
     def test_config_file_supplies_defaults_flags_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"

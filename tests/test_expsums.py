@@ -194,6 +194,15 @@ class TestPowerResidues:
         with pytest.raises(AssertionError, match="allocated"):
             expsums.power_residues(3_037_000_500, 3)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 7, 64, 255, 256, 10**6 + 3, 10**11,
+                                   2**62 - 1, 10**18])
+    def test_square_and_multiply_equals_pow(self, k):
+        rng = np.random.default_rng(k % 2**32)
+        for q in [1, 2, 7, 64, 97, 3**7, *rng.integers(2, 3000, size=4).tolist()]:
+            want = [pow(r, k, q) for r in range(1, q + 1)]
+            got = expsums.power_residues(q, k)
+            assert got.dtype == np.int64 and got.tolist() == want
+
 
 class TestCoprimeResidues:
     @staticmethod

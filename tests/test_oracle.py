@@ -232,6 +232,19 @@ class TestResidualTable:
             want = [(c - p).hex() for c, p in zip(res.exact, res.predicted[j].tolist())]
             assert [r.hex() for r in res.residuals[j].tolist()] == want
 
+    @pytest.mark.parametrize("k, s, J, n_min, n_max, Q", [
+        (3, 13, 2, 1000, 1400, 60), (2, 4, 1, 1, 300, 30), (2, 24, 1, 700, 1000, 20)])
+    def test_row_slices_are_the_same_bits_as_the_whole(self, k, s, J, n_min, n_max, Q):
+        res = oracle.residual_table(oracle.count_representations(k, s, n_max), J,
+                                    n_min, n_max, Q)
+        exact, predicted, residuals = res.rows(0, len(res))
+        assert res.coefficients.shape == (J + 1, len(res))
+        for lo, hi in ((0, 1), (3, 10), (7, 7), (len(res) - 5, len(res) + 9)):
+            part = res.rows(lo, hi)
+            assert part[0] == exact[lo:hi]
+            assert part[1].tobytes() == np.ascontiguousarray(predicted[:, lo:hi]).tobytes()
+            assert part[2].tobytes() == np.ascontiguousarray(residuals[:, lo:hi]).tobytes()
+
     def test_length_and_records(self):
         table = oracle.count_representations(3, 13, 1040)
         res = oracle.residual_table(table, 2, 1000, 1040, 40)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (direct_S, direct_modified_series, direct_power_moment, full_row_moment,
                       full_row_power_moment, loglog_slope, totient_sum)
-from waringsums import expsums, series
+from waringsums import expsums, oracle, series
 from waringsums.series import TruncationSpec
 
 
@@ -181,6 +181,15 @@ class TestOneWalk:
             assert rows.shape == (len(orders), ns.size)
             for row, (s, j) in zip(rows, orders):
                 assert np.array_equal(row, series.series_over_range(k, s, j, ns, 45))
+
+    def test_real_walk_is_the_real_part_bit_for_bit(self):
+        ns = np.arange(-30, 700, dtype=np.int64)
+        for k, orders in ((3, [(13, 0), (13, 1), (13, 2)]), (2, [(4, 0), (3, 0)])):
+            full = series.series_over_range_orders(k, orders, ns, [20, 60, 45])
+            real = series.series_over_range_orders(k, orders, ns, [20, 60, 45], real=True)
+            for c, r in zip(full, real):
+                assert r.dtype == np.float64 and r.shape == c.shape
+                assert r.tobytes() == np.ascontiguousarray(c.real).tobytes()
 
     def test_scalar_walker_values_equal_one_spec_calls(self):
         n = 12345
@@ -424,3 +433,35 @@ class TestCensus:
         count, fraction = series.nonvanishing_census(13, 1, 3, 300, 25, C)
         assert count == int(np.count_nonzero(mags >= C))
         assert fraction == count / 300
+
+
+class TestSumsOfSquares:
+    # For k = 2 and 5 <= s <= 8 the number r_s(n) of representations of n by
+    # s squares equals its main term exactly (Hardy, Trans. AMS 21, 1920):
+    # r_s(n) = pi^(s/2) / Gamma(s/2) * n^(s/2 - 1) * S_s(n), with S_s the
+    # classical singular series, so the exact signed count is a reference
+    # for the series with no series summed.  At s = 4 the series converges
+    # only conditionally, and from s = 9 on the counts carry a cusp-form
+    # part, so the reference holds at 5 <= s <= 8 only.
+    NS = (997, 1000, 2310, 2999)
+    # the worst relative error over NS of V(Q) measured before this test,
+    # at Q = 100 and Q = 400; the test allows twice that
+    MEASURED = {5: (1.7e-3, 2.0e-4), 6: (8.1e-5, 8.8e-6), 7: (2.8e-5, 7.0e-7),
+                8: (3.6e-6, 3.3e-8)}
+
+    def test_truncated_series_approaches_the_exact_count(self):
+        counts = {s: oracle.count_representations_signed(2, s, max(self.NS))
+                  for s in self.MEASURED}
+        worst = {}
+        for Q in (100, 400):
+            specs = [TruncationSpec(2, s, n, Q=Q) for s in self.MEASURED for n in self.NS]
+            for spec, value in zip(specs, series.truncated_series(specs)):
+                s, n = spec.s, spec.n
+                main = math.pi ** (s / 2) / math.gamma(s / 2) * n ** (s / 2 - 1)
+                exact = counts[s][n]
+                error = abs(main * value.value.real - exact) / exact
+                worst[s, Q] = max(worst.get((s, Q), 0.0), error)
+        for s, (at100, at400) in self.MEASURED.items():
+            assert worst[s, 100] <= 2 * at100
+            assert worst[s, 400] <= 2 * at400
+            assert worst[s, 400] < worst[s, 100]
