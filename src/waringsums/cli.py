@@ -29,7 +29,7 @@ from . import __version__, arith, eulermac, expansion, expsums, oracle, series
 
 __all__ = ["build_parser", "run", "main"]
 
-ROWS_PER_WRITE = 4096  # CSV rows formatted per write, which bounds the emitter's memory
+ROWS_PER_WRITE = 4096  # rows formatted per write, which bounds the emitter's memory
 _INT64 = np.iinfo(np.int64)
 _FLOAT = "%.15g"  # the format of every float cell
 _LOG_MAX = math.log(sys.float_info.max)
@@ -54,32 +54,44 @@ def _cells(values) -> Tuple[str, list]:
 def _emit(args, meta: dict, columns, blocks: Optional[Iterable[Sequence]] = None) -> None:
     """Write one table as CSV or its JSON mirror.  columns maps each name
     to its values; or it lists the names, and blocks yields the table a
-    few rows at a time, each block one sequence of values per column.  CSV
-    is written ROWS_PER_WRITE rows at a time, each by one % format."""
+    few rows at a time, each block one sequence of values per column.
+    Either form is written ROWS_PER_WRITE rows at a time: CSV by one %
+    format, JSON by one json.dumps of the rows, set into the payload's
+    "rows" list."""
     if blocks is None:
         columns, blocks = list(columns), [list(columns.values())]
     with (contextlib.nullcontext(sys.stdout) if args.output in (None, "-")
           else open(args.output, "w", encoding="utf-8")) as fh:
         if args.json:
-            # a float is written as the value its CSV text reads back as
-            values = [[] for _ in columns]
-            for block in blocks:
-                for out, (spec, cells) in zip(values, map(_cells, block)):
-                    out += [float(spec % v) for v in cells] if spec == _FLOAT else cells
             payload = {"tool": "waringsums", "version": __version__, "meta": meta,
-                       "columns": list(columns), "rows": list(zip(*values))}
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-            return
-        settings = []
-        for key, value in sorted(meta.items()):
-            spec, (cell,) = _cells([int(value) if isinstance(value, bool) else value])
-            settings.append(f"{key}={spec % cell}")
-        fh.write(f"# waringsums {__version__}\n# {' '.join(settings)}\n{','.join(columns)}\n")
+                       "columns": list(columns), "rows": []}
+            head, tail = json.dumps(payload, indent=2, sort_keys=True).rsplit("[]", 1)
+            fh.write(head + "[")
+        else:
+            settings = []
+            for key, value in sorted(meta.items()):
+                spec, (cell,) = _cells([int(value) if isinstance(value, bool) else value])
+                settings.append(f"{key}={spec % cell}")
+            fh.write(f"# waringsums {__version__}\n# {' '.join(settings)}\n"
+                     f"{','.join(columns)}\n")
+        written = 0
         for block in blocks:
             for lo in range(0, len(block[0]), ROWS_PER_WRITE):
                 specs, cells = zip(*(_cells(v[lo : lo + ROWS_PER_WRITE]) for v in block))
-                row = ",".join(specs) + "\n"
-                fh.write(row * len(cells[0]) % tuple(itertools.chain.from_iterable(zip(*cells))))
+                if args.json:
+                    # a float is written as the value its CSV text reads back as
+                    values = [[float(spec % v) for v in column] if spec == _FLOAT else column
+                              for spec, column in zip(specs, cells)]
+                    # json.dumps sets the rows at the top level: drop its brackets
+                    # and move each line two spaces in, into the payload's list
+                    rows = json.dumps(list(zip(*values)), indent=2)[1:-2]
+                    fh.write(("," if written else "") + rows.replace("\n", "\n  "))
+                else:
+                    row = ",".join(specs) + "\n"
+                    fh.write(row * len(cells[0]) % tuple(itertools.chain.from_iterable(zip(*cells))))
+                written += len(cells[0])
+        if args.json:
+            fh.write(("\n  ]" if written else "]") + tail + "\n")
 
 
 def _parse_int_list(text: str) -> List[int]:
@@ -198,9 +210,8 @@ def _cmd_series(args) -> int:
         spec = series.TruncationSpec(args.k, args.s, args.n, j=args.j, Q=args.Q)
         val = series.modified_series_truncated(spec)
         meta["Q"] = spec.Q
-        _emit(args, meta, {"n": [args.n], "value_re": [val.value.real],
-                           "value_im": [val.value.imag], "term_count": [val.term_count],
-                           "tail_estimate": [val.tail_estimate]})
+        _emit(args, meta, {"n": [args.n], "value_re": [val.value], "value_im": [0.0],
+                           "term_count": [val.term_count], "tail_estimate": [val.tail_estimate]})
         return 0
     if args.n_min is None or args.n_max is None or args.Q is None:
         raise ValueError("range mode needs --n-min, --n-max and --Q")
@@ -211,7 +222,7 @@ def _cmd_series(args) -> int:
     ns = np.arange(args.n_min, args.n_max + 1, dtype=np.int64)
     vals = series.series_over_range(args.k, args.s, args.j, ns, args.Q)
     meta.update(n_min=args.n_min, n_max=args.n_max)
-    _emit(args, meta, {"n": ns, "value_re": vals.real, "value_im": vals.imag})
+    _emit(args, meta, {"n": ns, "value_re": vals, "value_im": np.zeros(ns.size)})
     return 0
 
 

@@ -18,7 +18,7 @@ from typing import Literal
 import numpy as np
 
 from .arith import log_gamma
-from .series import TruncationSpec, truncated_series
+from .series import TruncationSpec, _check_int64, truncated_series
 
 __all__ = [
     "ExpansionCoefficients",
@@ -74,6 +74,8 @@ def coefficient_prefactors(s: int, J: int, k: int) -> list[float]:
     """
     if k < 2:  # first: the checks below divide by k
         raise ValueError(f"k must be >= 2, got {k}")
+    _check_int64("k", k)  # and the gamma factors divide by k and s as floats
+    _check_int64("s", s)
     if J < 0:
         raise ValueError("J must be >= 0")
     if s - J < 1:
@@ -105,7 +107,7 @@ def _coefficients(s: int, J: int, n: int, k: int, Q: int) -> ExpansionCoefficien
     prefactors = coefficient_prefactors(s, J, k)
     orders = [series_order(k, s, j) for j in range(J + 1)]
     values = truncated_series([TruncationSpec(k, u, n, j=o, Q=Q) for u, o in orders])
-    series_vals = [v.value.real for v in values]
+    series_vals = [v.value for v in values]
     return ExpansionCoefficients(
         "even" if k % 2 == 0 else "odd",
         tuple(p * v for p, v in zip(prefactors, series_vals)),

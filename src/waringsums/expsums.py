@@ -32,6 +32,7 @@ __all__ = [
     "batch_values",
     "batch_weighted_values",
     "coset_sums",
+    "phases",
     "ExactSum",
     "MAX_MODULUS",
 ]
@@ -151,7 +152,8 @@ def coprime_residues(q: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _phases(q: int, exponents: np.ndarray) -> np.ndarray:
+def phases(q: int, exponents: np.ndarray) -> np.ndarray:
+    """e(m/q) for each exponent m, reduced mod q in exact integers by the caller."""
     return np.exp(1j * (TWO_PI * (exponents / q)))
 
 
@@ -159,7 +161,7 @@ def _point_value(q: int, a: int, k: int, weighted: bool) -> complex:
     """sum_{r=1}^{q} w(r) e(a r^k / q), with w = 1 or the weights of T;
     the real and imaginary parts are each summed exactly."""
     _validate(q, k)
-    terms = _phases(q, (int(a) % q) * power_residues(q, k) % q)
+    terms = phases(q, (int(a) % q) * power_residues(q, k) % q)
     if weighted:
         terms = _weights(q) * terms
     return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
@@ -236,5 +238,5 @@ def coset_sums(p: int, k: int) -> np.ndarray:
         c = int(np.argmin(marked))  # the least residue in no coset seen yet
         exponents = c * powers % p
         marked[exponents] = True
-        values.append(1.0 + d * complex(_phases(p, exponents).sum()))
+        values.append(1.0 + d * complex(phases(p, exponents).sum()))
     return np.array(values)

@@ -277,8 +277,8 @@ def residual_table(counts: RepCountTable, J: int, n_min: int, n_max: int,
     predicted_j(n) sums the expansion through order j with coefficients
     truncated at level Q; residuals are exact - predicted_j, computed as
     float(exact) - predicted_j, which is what int - float gives.  Only the
-    coefficients are computed here, in place over the real parts of the
-    series values; the rest is formed by the table's rows().
+    coefficients are computed here, in place over the series values; the
+    rest is formed by the table's rows().
     """
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
@@ -288,7 +288,7 @@ def residual_table(counts: RepCountTable, J: int, n_min: int, n_max: int,
     prefactors = _expansion.coefficient_prefactors(s, J, k)
     ns = np.arange(n_min, n_max + 1, dtype=np.int64)
     orders = [_expansion.series_order(k, s, j) for j in range(J + 1)]
-    coeffs = _series.series_over_range_orders(k, orders, ns, [Q], real=True)[0]
+    coeffs = _series.series_over_range_orders(k, orders, ns, [Q])[0]
     coeffs *= np.array(prefactors)[:, None]
     return ResidualTable(ns, counts, coeffs)
 

@@ -2,18 +2,18 @@
 
 The classical series weights each reduced fraction a/q by (S(q,a)/q)^u;
 the modified series swaps j of those factors for the weighted sum T(q,a).
-Both are real up to rounding because the a <-> q-a terms pair into
-conjugates.
+Both are real: S and T at -a are the conjugates of S and T at a, so the
+terms at a and q-a are conjugates, and both paths sum real parts only.
 
 Both evaluation paths walk the moduli q <= Q once per evaluation (_walk)
 and build every coefficient row they need from one S row (and one T row
 if some j > 0) per q, skipping each q whose rows vanish identically, as
 an exact test at the prime powers finds.  The scalar path takes specs
 sharing k and Q, forms each phase vector e(-na/q) once per distinct n,
-and adds each modulus's terms to an expsums.ExactSum as it goes, keeping
-none of them: the value is math.fsum of all the terms, bit for bit,
-however specs are grouped.  The range path serves a whole range of n:
-for each q the map n -> partial sum depends only on n mod q, so one
+and adds each modulus's real parts to an expsums.ExactSum as it goes,
+keeping none of them: the value is math.fsum of all of them, bit for
+bit, however specs are grouped.  The range path serves a whole range of
+n: for each q the map n -> partial sum depends only on n mod q, so one
 length-q DFT of each row serves all.
 """
 
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .expsums import (MAX_MODULUS, ExactSum, batch_values, binned_dft, coprime_residues,
-                      coset_sums, power_residues, prime_power_parts)
+                      coset_sums, phases, power_residues, prime_power_parts)
 
 __all__ = [
     "integer_kth_root",
@@ -62,14 +62,23 @@ def integer_kth_root(n: int, k: int) -> int:
         r = t
 
 
+def _check_int64(name: str, value: int) -> None:
+    """Refuse a k or s past the int64 range, where numpy's powers of the
+    rows and float division overflow; j <= s is checked with s."""
+    if value >= 2**63:
+        raise ValueError(f"{name} must be below 2^63, got {value}")
+
+
 def _check_orders(k: int, orders) -> None:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
+    _check_int64("k", k)
     for s, j in orders:
         if s < 1:
             raise ValueError(f"s must be >= 1, got {s}")
         if not 0 <= j <= s:
             raise ValueError(f"need 0 <= j <= s, got j={j}, s={s}")
+        _check_int64("s", s)
 
 
 def _check_walk(k: int, orders, Q: int) -> None:
@@ -106,11 +115,11 @@ class TruncationSpec:
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """tail_estimate is sum_a |w(a)| over the last modulus q = Q: the size of
-    that row, not a bound on the truncation error.  It is exactly 0 when the
-    walk skips that row as vanishing identically (see _walk)."""
+    """value is a float, the sum of real parts; tail_estimate is sum_a |w(a)|
+    over the last modulus q = Q: the size of that row, not a bound on the
+    truncation error, and exactly 0 where _walk skips that row as vanishing."""
 
-    value: complex
+    value: float
     term_count: int
     tail_estimate: float
 
@@ -170,7 +179,7 @@ def truncated_series(specs: Sequence[TruncationSpec]) -> list[SeriesValue]:
     k, Q = specs[0].k, specs[0].Q
     orders = {(spec.s, spec.j) for spec in specs}
     _check_walk(k, orders, Q)
-    sums = [(ExactSum(), ExactSum()) for _ in specs]
+    sums = [ExactSum() for _ in specs]
     count = 0
     for q, phi, a, rows in _walk(k, orders, Q):
         count += phi
@@ -178,15 +187,12 @@ def truncated_series(specs: Sequence[TruncationSpec]) -> list[SeriesValue]:
         if rows is None:
             continue
         # e(-n a / q) = e(m a / q) with m = (-n) mod q; all index math exact.
-        phase = {n: np.exp(1j * (2.0 * math.pi * (((-int(n) % q) * a) % q / q)))
-                 for n in {spec.n for spec in specs}}
+        phase = {n: phases(q, (-int(n) % q) * a % q) for n in {spec.n for spec in specs}}
         last = [rows[spec.s, spec.j] * phase[spec.n] for spec in specs]
-        for (re, im), terms in zip(sums, last):
-            re.add(terms.real)
-            im.add(terms.imag)
+        for total, terms in zip(sums, last):
+            total.add(terms.real)
     tails = [float(np.abs(terms).sum()) for terms in last] if last else [0.0] * len(specs)
-    return [SeriesValue(complex(re.value(), im.value()), count, tail)
-            for (re, im), tail in zip(sums, tails)]
+    return [SeriesValue(total.value(), count, tail) for total, tail in zip(sums, tails)]
 
 
 def modified_series_truncated(spec: TruncationSpec) -> SeriesValue:
@@ -195,12 +201,11 @@ def modified_series_truncated(spec: TruncationSpec) -> SeriesValue:
 
 
 def series_over_range_orders(k: int, orders, ns: np.ndarray,
-                             Qs: Sequence[int], real: bool = False) -> list[np.ndarray]:
-    """For each truncation Q in Qs, an array whose row i holds the series
-    of orders[i] = (s, j) at every n in ns, all from one walk over
+                             Qs: Sequence[int]) -> list[np.ndarray]:
+    """For each truncation Q in Qs, a float array whose row i holds the
+    series of orders[i] = (s, j) at every n in ns, all from one walk over
     q <= max(Qs); the running sum is copied as it passes each Q below
-    the last.  With real, the arrays are float and hold only the real
-    parts, the same bits as the real parts of the complex sums.
+    the last.
 
     For each modulus the row w (zero off the coprime residues) satisfies
     value_q(n) = DFT(w)[n mod q], so each order costs one DFT plus one
@@ -211,7 +216,7 @@ def series_over_range_orders(k: int, orders, ns: np.ndarray,
     for Q in Qs:
         _check_walk(k, orders, Q)
     ns = np.asarray(ns)
-    out = np.zeros((len(orders),) + ns.shape, dtype=np.float64 if real else np.complex128)
+    out = np.zeros((len(orders),) + ns.shape)
     stops, snapshots, top = set(Qs), {}, max(Qs)
     for q, _, a, rows in _walk(k, orders, top):
         if rows is not None:
@@ -220,7 +225,7 @@ def series_over_range_orders(k: int, orders, ns: np.ndarray,
                 row = np.zeros(q, dtype=np.complex128)
                 row[a] = rows[order]
                 dft = np.fft.fft(row)  # dft[m] = sum_a w(a) e(-ma/q)
-                total += (dft.real if real else dft)[idx]
+                total += dft.real[idx]
         if q in stops:
             snapshots[q] = out.copy() if q < top else out
     return [snapshots[Q] for Q in Qs]
@@ -299,7 +304,7 @@ def factorial_multiple_discrepancy(
     if k % 2 == 0:
         raise ValueError("requires odd k")
     if 2 * s < 3 * k + 6:
-        raise ValueError(f"requires s >= 3k/2 + 3 = {(3 * k + 6) / 2}")
+        raise ValueError(f"requires 2s >= 3k + 6 = {3 * k + 6}")
     if Q < 1 or m < 1:
         raise ValueError("Q and m must be positive")
     n = math.factorial(Q) * m
@@ -309,18 +314,17 @@ def factorial_multiple_discrepancy(
         TruncationSpec(k, s, n, j=1, Q=Q_trunc),
         TruncationSpec(k, s - 1, n, j=0, Q=Q_trunc),
     ])
-    return mod.value.real + 0.5 * cla.value.real
+    return mod.value + 0.5 * cla.value
 
 
 def census_magnitudes(s: int, j: int, k: int, x: int, Qs: Sequence[int]) -> list[np.ndarray]:
     """|modified series| at n = 1..x for each truncation in Qs, from one
     walk over q <= max(Qs)."""
-    if j < 0 or x < 1:
-        raise ValueError("need j >= 0 and x >= 1")
+    _check_orders(k, [(s, j)])
+    if x < 1:
+        raise ValueError("need x >= 1")
     if 2 * s < (j + 4) * (k + 2):
-        raise ValueError(
-            f"requires s >= (j+4)(k+2)/2 = {(j + 4) * (k + 2) / 2}"
-        )
+        raise ValueError(f"requires 2s >= (j+4)(k+2) = {(j + 4) * (k + 2)}")
     ns = np.arange(1, x + 1, dtype=np.int64)
     return [np.abs(rows[0]) for rows in series_over_range_orders(k, [(s, j)], ns, Qs)]
 

@@ -150,7 +150,7 @@ class TestSeriesCommand:
         got = float(rows[1].split(",")[1])
         want = series.modified_series_truncated(
             TruncationSpec(3, 9, 6, j=1, Q=30)
-        ).value.real
+        ).value
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_default_truncation_recorded(self, tmp_path):
@@ -221,6 +221,19 @@ class TestWalkValidation:
     @pytest.mark.parametrize("argv, named", [
         ("expansion --k 0 --s 13 --J 2 --n 5 --Q 10", "error: k must be >= 2, got 0"),
         ("em-verify --k 2 --theta 1e308 --q 11 --r 1 --X 100", "error: --theta 1e+308 "),
+        pytest.param(f"series --k 3 --s {10**400} --n 5 --Q 10",
+                     "error: s must be below 2^63", id="series --s 10**400"),
+        pytest.param(f"expansion --k 3 --s {2**63} --J 2 --n 5 --Q 10",
+                     "error: s must be below 2^63", id="expansion --s 2**63"),
+        pytest.param(f"expansion --k {10**400 + 1} --s 13 --J 2 --n 5 --Q 10",
+                     "error: k must be below 2^63", id="expansion --k 10**400+1"),
+        pytest.param(f"thm15 --k {2**63 + 1} --s 13 --j 1 --x 10 --Q 5",
+                     "error: k must be below 2^63", id="thm15 --k 2**63+1"),
+        # the refusal of a small s formats no float of a huge k
+        pytest.param(f"thm15 --k {2**63 - 1} --s 13 --j 1 --x 10 --Q 5",
+                     "error: requires 2s >= ", id="thm15 --k 2**63-1"),
+        pytest.param(f"thm14 --k {10**400 + 1} --s 8 --Q 3 --trunc 10",
+                     "error: requires 2s >= ", id="thm14 --k 10**400+1"),
     ])
     def test_refused_before_any_work_naming_its_flag(self, monkeypatch, capsys, argv, named):
         def work(*args):
@@ -287,6 +300,43 @@ class TestWalkValidation:
         assert out == "" and "C must be finite" in err
 
 
+# Each flag of the commands that walk the moduli, set in turn to a boundary
+# value: each case finishes or is refused (exit 2) before the walk, never
+# exit 1, such as an OverflowError from a 401-digit order.
+BOUNDARY_BASES = {
+    "series": "series --k 3 --s 9 --j 1 --n 1000 --Q 50",
+    "series-range": "series --k 3 --s 9 --j 1 --n-min 10 --n-max 20 --Q 50",
+    "expansion": "expansion --k 3 --s 13 --J 2 --n 1000 --Q 50",
+    "thm14": "thm14 --k 3 --s 8 --Q 3 --trunc 50 --m 2",
+    "thm15": "thm15 --k 3 --s 13 --j 1 --x 50 --Q 20",
+}
+BOUNDARY_VALUES = {"0": 0, "-1": -1, "2**63-1": 2**63 - 1, "2**63": 2**63,
+                   "10**400": 10**400}
+BOUNDARY_CASES = [
+    pytest.param(words[: i + 1] + [str(value)] + words[i + 2 :],
+                 id=f"{base} {words[i]} {name}")
+    for base, words in ((base, argv.split()) for base, argv in BOUNDARY_BASES.items())
+    for i in range(1, len(words), 2)
+    for name, value in BOUNDARY_VALUES.items()
+]
+
+
+@pytest.mark.parametrize("argv", BOUNDARY_CASES)
+def test_boundary_value_finishes_or_is_refused_before_the_walk(monkeypatch, capsys, argv):
+    walks, walk = [], series._walk
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(series, "_walk", counted)
+    code = cli.run(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2), err
+    if code == 2:
+        assert not walks and out == "" and err.startswith("error: ")
+
+
 class TestExpansionCommand:
     def test_columns_and_values(self, tmp_path):
         code, text = run_to_file(
@@ -304,9 +354,9 @@ class TestExpansionCommand:
 
 
 # sha256 of the standard output of waringsums 0.1.0 for the three oracle
-# commands; the others were recorded before the coefficient-row refactor or
-# before the memo cache was removed, and any digest change must be explained
-# in CHANGES.md.
+# commands; the others were recorded as later changes added or moved them,
+# and any digest change must be explained in CHANGES.md.  Every series
+# command prints value_im as exactly 0: the series is real.
 GOLDEN = [
     ("oracle --k 2 --s 9 --n-max 3000".split(),
      "db045f2b5bc7eba967a8ab540bbb56703f916dec14fa437a9bf61ab79046bc7e"),
@@ -323,13 +373,13 @@ GOLDEN = [
     # the q = 300 row vanishes (3 || 300, and r -> r^3 permutes the residues
     # mod 3, so S(3, .) is 0 on the units): tail_estimate is 0
     ("series --k 3 --s 9 --j 1 --n 123457 --Q 300".split(),
-     "9456d4976e8ca62fe3b8e60767461087f31e81d3a8afd1054f8b227a8f6da617"),
+     "d4dc72f7a7aafbdd68e0005a143df144f307e272f384a8b0e2990f73d378fee6"),
     ("series --k 2 --s 5 --n 25 --Q 50".split(),
-     "9a8d3fed719976b43e1421b905e3ba8e0337db6c2d555bc424ddcdef8a4e9daf"),
+     "2522548e7b535afab01346793ec3053811f592c3ec8d2ec36cfe69d6de959a4c"),
     ("series --k 3 --s 9 --j 0 --n-min 1000 --n-max 1400 --Q 300".split(),
-     "f808d30b6ee6b63bce0ee38f307f9af5494f25e75ec33f485153921dc7326717"),
+     "1314f6ead5d6dbd523ea160ff994bd94c21a60d9857e58df202cdad2534af2f4"),
     ("series --k 3 --s 13 --j 2 --n-min 500 --n-max 700 --Q 200".split(),
-     "16c16790b7bbe9a40bdea6249f737b9ad53dfcc14a8e307f887c18d5943f5d2e"),
+     "c2cbbcc648600420f4f39b37c0a7db710d4e167ffd425a9a54865a2ba8096ff5"),
     ("expansion --k 2 --s 5 --J 1 --n 40000 --Q 300".split(),
      "79134748a0466e4b60ebb63763426734310f0078ba0df6de740ec443936f0779"),
     ("expansion --k 3 --s 13 --J 2 --n 77777 --Q 300".split(),
@@ -348,7 +398,7 @@ GOLDEN = [
      "52f640839b903e4841f824c255c02d4e3fa3d19d9b62f25286b0cf92c506c022"),
     ("selftest".split(),
      "a414783113b62103f77c5d6cabe29d81f4a454495d4e51fce4629eada167aafd"),
-    # Q above 512, where every walk over the moduli revisits none of them
+    # truncations at Q = 600, the longest walks over the moduli here
     ("residuals --k 3 --s 13 --J 2 --n-min 1000 --n-max 1600 --Q 600".split(),
      "acccd6ed939657fc9191c6c06879d0140716b44815b5a8b36fc4cf1fe2a4476a"),
     ("expansion --k 3 --s 13 --J 3 --n 77777 --Q 600".split(),
@@ -370,9 +420,9 @@ GOLDEN = [
     ("oracle --k 2 --s 24 --n-max 1000 --json".split(),
      "032e2bce349786fa7c470042909cc4c8f2ebe479c7e5ac36b2a5a964ab9eb386"),
     ("series --k 3 --s 13 --j 2 --n-min 500 --n-max 600 --Q 200 --json".split(),
-     "f4c7041c7b1e64196282e36c19e6f3aa3552803c8e451b49226e7b358b6fc8ab"),
+     "0d6b56a64ea30afee8df03c113e73dbdbeedddd92030e8e220ca0f68e9b02445"),
     ("series --k 3 --s 9 --j 1 --n 123457 --Q 300 --json".split(),
-     "3c3004dbdda006ad96cf16fba60d6cef1d9581bc5602ae70e8f91abe8fad0932"),
+     "64e0719e09c2f74447159aab72ab9acbdc45877646eb071a7e87fd7c7e97886f"),
     ("expsum --k 2 --q 4 --a 1 --json".split(),
      "fd7ace2fba0da41d9006ab7b8251f40a405a57870ce700365b82123bdfe68518"),
     ("expansion --k 3 --s 13 --J 2 --n 77777 --Q 300 --json".split(),
@@ -577,21 +627,31 @@ class TestOutputModes:
             assert blocks == whole
         assert len(whole.splitlines()) == 3 + 61
 
-    def test_residuals_hold_few_bytes_per_row(self, monkeypatch):
-        # only ns and the (J+1) coefficients are held per row (32 B here); the
-        # predictions, residuals and text are formed a block at a time
-        table = oracle.count_representations(3, 13, 26000)
+    @staticmethod
+    def residuals_bytes_per_row(monkeypatch, n_maxes, flags=()) -> float:
+        """The growth of the traced peak of residuals -o /dev/null per row."""
+        table = oracle.count_representations(3, 13, max(n_maxes))
         monkeypatch.setattr(cli, "_cached_table", lambda *args: table)
         peaks = []
-        for n_max in (6000, 26000):
+        for n_max in n_maxes:
             tracemalloc.start()
             try:
                 assert cli.run(f"residuals --k 3 --s 13 --J 2 --n-min 1001 --n-max {n_max} "
-                               "--Q 60 -o /dev/null".split()) == 0
+                               "--Q 60 -o /dev/null".split() + list(flags)) == 0
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / 20000 < 64
+        return (peaks[1] - peaks[0]) / (n_maxes[1] - n_maxes[0])
+
+    def test_residuals_hold_few_bytes_per_row(self, monkeypatch):
+        # only ns and the (J+1) coefficients are held per row (32 B here); the
+        # predictions, residuals and text are formed a block at a time
+        assert self.residuals_bytes_per_row(monkeypatch, (6000, 26000)) < 64
+
+    def test_json_residuals_hold_few_bytes_per_row(self, monkeypatch):
+        # JSON too writes a block at a time; its per-block constant is larger,
+        # so the growth is measured from 26000 rows on
+        assert self.residuals_bytes_per_row(monkeypatch, (26000, 46000), ["--json"]) < 64
 
     def test_config_file_supplies_defaults_flags_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -60,7 +60,7 @@ class TestEvenCoefficients:
     def test_leading_term_is_classical_main_factor(self):
         coeffs = expansion.coefficients_even(9, 0, 500, 2, 40)
         sval = series.truncated_series([TruncationSpec(2, 9, 500, Q=40)])[0]
-        expect = expansion.gamma_factor(9, 0, 2) * sval.value.real
+        expect = expansion.gamma_factor(9, 0, 2) * sval.value
         assert coeffs.coefficients[0] == pytest.approx(expect, rel=1e-12)
 
     def test_second_order_closed_form(self):
@@ -68,7 +68,7 @@ class TestEvenCoefficients:
         n, Q = 33, 25
         coeffs = expansion.coefficients_even(5, 1, n, 2, Q)
         sval = series.truncated_series([TruncationSpec(2, 4, n, Q=Q)])[0]
-        expect = -(5 / 2) * (math.pi**2 / 16) * sval.value.real
+        expect = -(5 / 2) * (math.pi**2 / 16) * sval.value
         assert coeffs.coefficients[1] == pytest.approx(expect, rel=1e-11)
 
     def test_alternating_sign(self):
@@ -84,7 +84,7 @@ class TestEvenCoefficients:
         for j in range(3):
             mod = series.modified_series_truncated(
                 TruncationSpec(k, s, n, j=j, Q=Q)
-            ).value.real
+            ).value
             alt = math.comb(s, j) * expansion.gamma_factor(s, j, k) * mod
             assert coeffs.coefficients[j] == pytest.approx(alt, rel=1e-11, abs=1e-13)
 
@@ -102,7 +102,7 @@ class TestOddCoefficients:
         n, Q = 100, 30
         coeffs = expansion.coefficients_odd(13, 0, n, 3, Q)
         sval = series.truncated_series([TruncationSpec(3, 13, n, Q=Q)])[0]
-        expect = expansion.gamma_factor(13, 0, 3) * sval.value.real
+        expect = expansion.gamma_factor(13, 0, 3) * sval.value
         assert coeffs.coefficients[0] == pytest.approx(expect, rel=1e-12)
 
     def test_factorial_multiple_collapses_toward_half_classical(self):
@@ -112,7 +112,7 @@ class TestOddCoefficients:
         coeffs = expansion.coefficients_odd(13, 1, n, 3, 200)
         cla = series.truncated_series(
             [TruncationSpec(3, 12, n, Q=200)]
-        )[0].value.real
+        )[0].value
         approx = -0.5 * 13 * expansion.gamma_factor(13, 1, 3) * cla
         assert coeffs.coefficients[1] == pytest.approx(approx, rel=0.25)
 
