@@ -253,6 +253,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_residuals(args) -> int:
+    # refuse what residual_table would refuse before the table is counted
+    oracle.residual_prefactors(args.k, args.s, args.J, args.n_min, args.n_max, args.Q)
     table = _cached_table(args.k, args.s, args.n_max, args.cache_dir)
     res = oracle.residual_table(table, args.J, args.n_min, args.n_max, args.Q)
     meta = {"subcommand": "residuals", "k": args.k, "s": args.s, "J": args.J,
@@ -320,8 +322,7 @@ def _cmd_thm14(args) -> int:
         if limit and n >= 10**limit:
             raise too_long(Q)
         ns.append(n)
-    disc = [series.factorial_multiple_discrepancy(args.s, args.k, Q, args.m, args.trunc)
-            for Q in qs]
+    disc = series.factorial_multiple_discrepancy(args.s, args.k, qs, args.m, args.trunc)
     meta = {"subcommand": "thm14", "k": args.k, "s": args.s, "m": args.m,
             "trunc": args.trunc}
     _emit(args, meta, {"Q": qs, "n": ns, "discrepancy": disc})

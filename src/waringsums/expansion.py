@@ -68,9 +68,9 @@ def coefficient_prefactors(s: int, J: int, k: int) -> list[float]:
 
     Order j carries C(s, j) * gamma_factor(s, j, k), with an extra
     (-1/2)^j for even k.  Binomials are computed exactly before the
-    float conversion.  Validates every structural requirement on
-    (s, J, k), so callers assembling coefficients elsewhere inherit the
-    same guards.
+    float conversion, and one past the largest float is refused.
+    Validates every structural requirement on (s, J, k), so callers
+    assembling coefficients elsewhere inherit the same guards.
     """
     if k < 2:  # first: the checks below divide by k
         raise ValueError(f"k must be >= 2, got {k}")
@@ -92,7 +92,12 @@ def coefficient_prefactors(s: int, J: int, k: int) -> list[float]:
         )
     out = []
     for j in range(J + 1):
-        factor = float(math.comb(s, j)) * gamma_factor(s, j, k)
+        try:
+            binomial = float(math.comb(s, j))
+        except OverflowError:
+            raise ValueError(f"C(s, {j}) at s={s} passes the largest float: "
+                             f"J={J} is too large for this s") from None
+        factor = binomial * gamma_factor(s, j, k)
         if k % 2 == 0:
             factor *= (-0.5) ** j
         out.append(factor)

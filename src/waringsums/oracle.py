@@ -42,6 +42,7 @@ __all__ = [
     "count_by_enumeration",
     "verify_inversion",
     "ResidualTable",
+    "residual_prefactors",
     "residual_table",
     "write_binary",
     "read_binary",
@@ -237,8 +238,7 @@ class ResidualTable:
     """The rows of residual_table.  It holds ns, the count table and the
     (J+1, len(ns)) coefficients c_j(n), and nothing else as long as ns:
     rows(lo, hi) forms the exact counts (as ints) and the (J+1, hi-lo)
-    float arrays predicted and residuals of a slice of rows, and the
-    properties exact, predicted and residuals form them for every row."""
+    float arrays predicted and residuals of a slice of rows."""
 
     ns: np.ndarray
     table: RepCountTable
@@ -257,17 +257,17 @@ class ResidualTable:
                                                       self.coefficients[:, lo:hi])
         return exact, predicted, np.array([float(c) for c in exact]) - predicted
 
-    @property
-    def exact(self) -> list:
-        return self.rows(0, len(self))[0]
 
-    @property
-    def predicted(self) -> np.ndarray:
-        return self.rows(0, len(self))[1]
-
-    @property
-    def residuals(self) -> np.ndarray:
-        return self.rows(0, len(self))[2]
+def residual_prefactors(k: int, s: int, J: int, n_min: int, n_max: int,
+                        Q: int) -> list[float]:
+    """coefficient_prefactors(s, J, k), once (k, s, J), the n range and the
+    walk to Q pass every check of residual_table that needs no table, so
+    that a caller can make them before it counts."""
+    if not 1 <= n_min <= n_max:
+        raise ValueError("need 1 <= n_min <= n_max")
+    prefactors = _expansion.coefficient_prefactors(s, J, k)
+    _series._check_walk(k, [_expansion.series_order(k, s, j) for j in range(J + 1)], Q)
+    return prefactors
 
 
 def residual_table(counts: RepCountTable, J: int, n_min: int, n_max: int,
@@ -280,12 +280,10 @@ def residual_table(counts: RepCountTable, J: int, n_min: int, n_max: int,
     coefficients are computed here, in place over the series values; the
     rest is formed by the table's rows().
     """
-    if not 1 <= n_min <= n_max:
-        raise ValueError("need 1 <= n_min <= n_max")
     if counts.signed or n_max > counts.N:
         raise ValueError(f"need an unsigned table covering n <= {n_max}")
     k, s = counts.k, counts.s
-    prefactors = _expansion.coefficient_prefactors(s, J, k)
+    prefactors = residual_prefactors(k, s, J, n_min, n_max, Q)
     ns = np.arange(n_min, n_max + 1, dtype=np.int64)
     orders = [_expansion.series_order(k, s, j) for j in range(J + 1)]
     coeffs = _series.series_over_range_orders(k, orders, ns, [Q])[0]

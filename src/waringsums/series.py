@@ -291,30 +291,29 @@ def negation_identity_residual(s: int, n: int, Q: int, k: int) -> float:
     return abs(m_pos.value + m_neg.value + classical.value)
 
 
-def factorial_multiple_discrepancy(
-    s: int, k: int, Q: int, m: int, Q_trunc: int
-) -> float:
-    """M(n; Q_trunc) + (1/2) C(n; Q_trunc) at n = Q! * m.
+def factorial_multiple_discrepancy(s: int, k: int, Qs: Sequence[int], m: int,
+                                   Q_trunc: int) -> list[float]:
+    """M(n; Q_trunc) + (1/2) C(n; Q_trunc) at n = Q! * m for each Q in Qs,
+    all from one walk over q <= Q_trunc.
 
     M is the first-order modified series with exponent s, C the classical
     series with exponent s-1.  Requires odd k and 2s >= 3k + 6.  Every
-    phase e(-na/q) with q <= Q is exactly 1 because q divides n; that is
-    asserted, not assumed.
+    phase e(-na/q) with q <= Q is exactly 1 because q divides Q!.  The
+    walk keeps two exact sums per Q, so its memory grows with len(Qs).
     """
     if k % 2 == 0:
         raise ValueError("requires odd k")
     if 2 * s < 3 * k + 6:
         raise ValueError(f"requires 2s >= 3k + 6 = {3 * k + 6}")
-    if Q < 1 or m < 1:
+    if any(Q < 1 for Q in Qs) or m < 1:
         raise ValueError("Q and m must be positive")
-    n = math.factorial(Q) * m
-    for q in range(1, min(Q, Q_trunc) + 1):
-        assert n % q == 0, "n must absorb every modulus up to Q"
-    mod, cla = truncated_series([
-        TruncationSpec(k, s, n, j=1, Q=Q_trunc),
-        TruncationSpec(k, s - 1, n, j=0, Q=Q_trunc),
-    ])
-    return mod.value + 0.5 * cla.value
+    specs = []
+    for Q in Qs:
+        n = math.factorial(Q) * m
+        specs += [TruncationSpec(k, s, n, j=1, Q=Q_trunc),
+                  TruncationSpec(k, s - 1, n, j=0, Q=Q_trunc)]
+    values = truncated_series(specs)
+    return [mod.value + 0.5 * cla.value for mod, cla in zip(values[::2], values[1::2])]
 
 
 def census_magnitudes(s: int, j: int, k: int, x: int, Qs: Sequence[int]) -> list[np.ndarray]:

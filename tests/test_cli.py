@@ -194,6 +194,9 @@ class TestWalkValidation:
         pytest.param(f"thm14 --k 3 --s 8 --Q {10**400} --trunc 10", id="thm14 --Q 10**400"),
         "thm15 --k 3 --s 13 --j 1 --x 10 --Q 5 --C nan",
         "thm15 --k 3 --s 13 --j 1 --x 10 --Q 5 --C inf",
+        # C(2^62, j) passes the largest float at j = 18
+        f"expansion --k 2 --s {2**62} --J 20 --n 5 --Q 10",
+        f"expansion --k 2 --s {2**62} --J 40 --n 5 --Q 10",
     ])
     def test_rejected_before_the_walk(self, capsys, argv):
         assert cli.run(argv.split()) == 2
@@ -244,6 +247,28 @@ class TestWalkValidation:
         assert cli.run(argv.split()) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(named)
+
+    @pytest.mark.parametrize("flags", [
+        "--k 3 --s 13 --J -1",
+        "--k 3 --s 4 --J 4",
+        "--k 3 --s 13 --J 4",
+        "--k 2 --s 4 --J 2",
+        "--k 3 --s 13 --J 2 --n-min 0",
+        "--k 3 --s 13 --J 2 --n-min 60",
+        "--k 3 --s 13 --J 2 --Q 0",
+        "--k 3 --s 13 --J 2 --Q 3037000501",
+        f"--k 2 --s {2**62} --J 40 --n-max 10",
+    ])
+    def test_residuals_refused_before_counting(self, tmp_path, monkeypatch, capsys, flags):
+        def work(*args):
+            raise AssertionError("the count table was built or read")
+
+        monkeypatch.setattr(oracle, "count_representations", work)
+        monkeypatch.setattr(oracle, "read_binary", work)
+        argv = f"residuals --n-max 50 --Q 10 {flags} --cache-dir {tmp_path}".split()
+        assert cli.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error" in err
 
     def test_int64_range_up_to_its_last_stop(self, capsys):
         top, bottom = 2**63 - 2, -(2**63)
@@ -335,6 +360,27 @@ def test_boundary_value_finishes_or_is_refused_before_the_walk(monkeypatch, caps
     assert code in (0, 2), err
     if code == 2:
         assert not walks and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    "series --k 3 --s 9 --j 1 --n 1000 --Q 50",
+    "series --k 3 --s 9 --j 1 --n-min 10 --n-max 20 --Q 50",
+    "expansion --k 3 --s 13 --J 2 --n 1000 --Q 50",
+    "residuals --k 3 --s 13 --J 2 --n-max 200 --Q 30",
+    "thm14 --k 3 --s 8 --Q 2..5 --trunc 50",
+    "thm15 --k 3 --s 13 --j 1 --x 50 --Q 20,40",
+    "thm15 --k 3 --s 13 --j 1 --x 50 --Q 20,40 --C 0.4",
+])
+def test_each_command_walks_the_moduli_once(monkeypatch, capsys, argv):
+    walks, walk = [], series._walk
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(series, "_walk", counted)
+    assert cli.run(argv.split()) == 0
+    assert len(walks) == 1
 
 
 class TestExpansionCommand:

@@ -189,8 +189,8 @@ class TestResidualTable:
         k, s, Q = 2, 9, 30
         table = oracle.count_representations(k, s, 510)
         res = oracle.residual_table(table, 0, 500, 510, Q)
-        for n, exact, pred0, resid0 in zip(res.ns.tolist(), res.exact,
-                                           res.predicted[0], res.residuals[0]):
+        counts, predicted, residuals = res.rows(0, len(res))
+        for n, exact, pred0, resid0 in zip(res.ns.tolist(), counts, predicted[0], residuals[0]):
             coeffs = expansion.coefficients_even(s, 0, n, k, Q)
             pred = expansion.expansion_partial_sums([n], s, k, coeffs.coefficients)[-1, 0]
             assert exact == table[n]
@@ -200,7 +200,7 @@ class TestResidualTable:
     def test_cumulative_predictions_odd_k(self):
         table = oracle.count_representations(3, 13, 1010)
         res = oracle.residual_table(table, 1, 1000, 1010, 40)
-        for n, pred0, pred1 in zip(res.ns.tolist(), *res.predicted):
+        for n, pred0, pred1 in zip(res.ns.tolist(), *res.rows(0, len(res))[1]):
             coeffs = expansion.coefficients_odd(13, 1, n, 3, 40)
             manual0 = coeffs.coefficients[0] * n ** (13 / 3 - 1)
             manual1 = manual0 + coeffs.coefficients[1] * n ** (12 / 3 - 1)
@@ -223,14 +223,15 @@ class TestResidualTable:
     def test_residual_columns_are_int_minus_float(self, k, s, J, n_min, n_max, Q):
         table = oracle.count_representations(k, s, n_max)
         res = oracle.residual_table(table, J, n_min, n_max, Q)
+        exact, predicted, residuals = res.rows(0, len(res))
         if k == 2:
-            assert min(res.exact) > 2**53
+            assert min(exact) > 2**53
         assert res.ns.tolist() == list(range(n_min, n_max + 1))
-        assert res.exact == [table[n] for n in range(n_min, n_max + 1)]
-        assert res.predicted.shape == res.residuals.shape == (J + 1, n_max - n_min + 1)
+        assert exact == [table[n] for n in range(n_min, n_max + 1)]
+        assert predicted.shape == residuals.shape == (J + 1, n_max - n_min + 1)
         for j in range(J + 1):
-            want = [(c - p).hex() for c, p in zip(res.exact, res.predicted[j].tolist())]
-            assert [r.hex() for r in res.residuals[j].tolist()] == want
+            want = [(c - p).hex() for c, p in zip(exact, predicted[j].tolist())]
+            assert [r.hex() for r in residuals[j].tolist()] == want
 
     @pytest.mark.parametrize("k, s, J, n_min, n_max, Q", [
         (3, 13, 2, 1000, 1400, 60), (2, 4, 1, 1, 300, 30), (2, 24, 1, 700, 1000, 20)])

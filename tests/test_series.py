@@ -404,20 +404,26 @@ class TestNegationIdentity:
 class TestFactorialMultipleDiscrepancy:
     def test_rejects_even_k_and_small_s(self):
         with pytest.raises(ValueError):
-            series.factorial_multiple_discrepancy(8, 2, 3, 1, 50)
+            series.factorial_multiple_discrepancy(8, 2, [3], 1, 50)
         with pytest.raises(ValueError):
-            series.factorial_multiple_discrepancy(7, 3, 3, 1, 50)  # needs s >= 7.5
+            series.factorial_multiple_discrepancy(7, 3, [3], 1, 50)  # needs s >= 7.5
 
     def test_matches_directly_assembled_value(self):
         s, k, Q, m, Qt = 8, 3, 3, 1, 25
         n = math.factorial(Q) * m
-        got = series.factorial_multiple_discrepancy(s, k, Q, m, Qt)
+        got, = series.factorial_multiple_discrepancy(s, k, [Q], m, Qt)
         mod = direct_modified_series(k, s, 1, n, Qt)
         cla = direct_modified_series(k, s - 1, 0, n, Qt)
         assert got == pytest.approx((mod + 0.5 * cla).real, abs=1e-9)
 
     def test_value_is_real_float(self):
-        assert isinstance(series.factorial_multiple_discrepancy(8, 3, 2, 1, 30), float)
+        assert isinstance(series.factorial_multiple_discrepancy(8, 3, [2], 1, 30)[0], float)
+
+    def test_listed_Qs_equal_one_Q_calls_bit_for_bit(self):
+        listed = series.factorial_multiple_discrepancy(9, 3, [2, 5, 3, 5], 7, 60)
+        alone = [series.factorial_multiple_discrepancy(9, 3, [Q], 7, 60)[0]
+                 for Q in (2, 5, 3, 5)]
+        assert [d.hex() for d in listed] == [d.hex() for d in alone]
 
 
 class TestCensus:
