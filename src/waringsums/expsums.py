@@ -217,19 +217,26 @@ def batch_weighted_values(q: int, k: int) -> np.ndarray:
 
 def coset_sums(p: int, k: int) -> np.ndarray:
     """S(p, c) for one c in each coset of the nonzero k-th powers H mod a
-    prime p, in O(p) time with no DFT.
+    prime p, in O(p) time with no DFT, and in O(1) when d <= 2.
 
     The substitution r -> tr gives S(p, a) = S(p, a t^k), so S(p, a)
-    depends only on the coset aH, and there are d = gcd(k, p-1) cosets.
+    depends only on the coset aH, and there are d = gcd(k, p-1) cosets,
+    taken in order of their least element, so the coset of 1 comes first.
     Every h in H is hit by exactly d values of r, so
-    S(p, c) = 1 + d sum_{h in H} e(ch/p).  When d = 1, x -> x^k permutes
-    F_p and S(p, a) = sum_x e(ax/p) = 0 exactly, which is returned as the
-    one value.  p must be prime; that is not checked.
+    S(p, c) = 1 + d sum_{h in H} e(ch/p).  Two values of d need no sum:
+    when d = 1, x -> x^k permutes F_p and S(p, a) = sum_x e(ax/p) = 0
+    exactly, returned as the one value; when d = 2, H is the squares and
+    S(p, a) = sum_x e(ax^2/p) = (a/p) g is a quadratic Gauss sum, with
+    g = sqrt(p) for p = 1 mod 4 and i sqrt(p) for p = 3 mod 4 (Gauss), so
+    the values are [g, -g] in O(1).  p must be prime; that is not checked.
     """
     _validate(p, k)
     d = math.gcd(k, p - 1)
     if d == 1:
         return np.zeros(1, dtype=np.complex128)
+    if d == 2:
+        g = math.sqrt(p) if p % 4 == 1 else 1j * math.sqrt(p)
+        return np.array([g, -g], dtype=np.complex128)
     powers = np.flatnonzero(np.bincount(power_residues(p, k), minlength=p)[1:]) + 1
     marked = np.zeros(p, dtype=bool)
     marked[0] = True

@@ -51,6 +51,7 @@ __all__ = [
 MAGIC = b"WRC1"
 _HEADER = struct.Struct("<4sIIQIB")
 MIN_WIDTH_BITS = 128
+MAX_WIDTH_BITS = 2**32 - 1  # the largest width_bits in _HEADER's uint32 field
 
 
 class WidthOverflowError(OverflowError):
@@ -83,7 +84,12 @@ def _kth_powers(k: int, N: int) -> List[int]:
 def _width_bits_for(k: int, s: int, N: int, signed: bool) -> int:
     """The entry width both table builders declare, after checking their
     arguments.  Every entry is at most the number of admissible tuples,
-    itself at most (#values per slot)^s; round up to whole bytes, floor 128."""
+    itself at most (#values per slot)^s; round up to whole bytes, floor 128.
+
+    The WRC1 header holds the width as a uint32, which it fits exactly
+    while per_slot^s, of floor(s log2(per_slot)) + 1 bits, has at most
+    2^32 - 9 of them.  A larger s is refused before the power is formed;
+    the test is in floating point, and s > 2^32 fails it at any per_slot."""
     if signed and k % 2 != 0:
         raise ValueError("signed counting requires even k")
     if s < 1:
@@ -93,6 +99,9 @@ def _width_bits_for(k: int, s: int, N: int, signed: bool) -> int:
     if k < 2:
         raise ValueError("k must be >= 2")
     per_slot = (2 if signed else 1) * len(_kth_powers(k, N)) + 1
+    if s > MAX_WIDTH_BITS or s * math.log2(per_slot) >= MAX_WIDTH_BITS - 8:
+        raise ValueError(f"s = {s} is too large: its entry width would exceed the "
+                         f"{MAX_WIDTH_BITS} bits a count-table header can hold")
     bound_bits = (per_slot**s).bit_length() + 1
     return max(MIN_WIDTH_BITS, 8 * ((bound_bits + 7) // 8))
 
@@ -294,6 +303,8 @@ def residual_table(counts: RepCountTable, J: int, n_min: int, n_max: int,
 def write_binary(table: RepCountTable, path: str) -> None:
     """Flat binary layout: magic, k, s, N, entry width in bits, signed
     flag (header little-endian), then N+1 raw little-endian entries."""
+    if table.k >= 2**32:  # a valid table (one value per slot), but k is a uint32 here
+        raise ValueError(f"k = {table.k} does not fit a count-table header (below 2^32)")
     header = _HEADER.pack(MAGIC, table.k, table.s, table.N, table.width_bits,
                           1 if table.signed else 0)
     body = _encode(table.counts, table.width_bits // 8)  # checked before the file opens

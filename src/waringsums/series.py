@@ -9,12 +9,12 @@ Both evaluation paths walk the moduli q <= Q once per evaluation (_walk)
 and build every coefficient row they need from one S row (and one T row
 if some j > 0) per q, skipping each q whose rows vanish identically, as
 an exact test at the prime powers finds.  The scalar path takes specs
-sharing k and Q, forms each phase vector e(-na/q) once per distinct n,
-and adds each modulus's real parts to an expsums.ExactSum as it goes,
-keeping none of them: the value is math.fsum of all of them, bit for
-bit, however specs are grouped.  The range path serves a whole range of
-n: for each q the map n -> partial sum depends only on n mod q, so one
-length-q DFT of each row serves all.
+sharing k and Q, forms each phase vector e(-na/q) once per distinct
+-n mod q, and adds each modulus's real parts to an expsums.ExactSum as
+it goes, keeping none of them: the value is math.fsum of all of them,
+bit for bit, however specs are grouped.  The range path serves a whole
+range of n: for each q the map n -> partial sum depends only on n mod
+q, so one length-q DFT of each row serves all.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ def integer_kth_root(n: int, k: int) -> int:
         raise ValueError("n must be >= 1")
     if k == 2:
         return math.isqrt(n)
+    if k >= n.bit_length():  # then n < 2^k, so the root is 1: no power formed
+        return 1
     # Newton's iteration decreases monotonically from any start above the
     # root and stops at the floor; 2^ceil(bits/k) is such a start.
     r = 1 << -(-n.bit_length() // k)
@@ -187,8 +189,10 @@ def truncated_series(specs: Sequence[TruncationSpec]) -> list[SeriesValue]:
         if rows is None:
             continue
         # e(-n a / q) = e(m a / q) with m = (-n) mod q; all index math exact.
-        phase = {n: phases(q, (-int(n) % q) * a % q) for n in {spec.n for spec in specs}}
-        last = [rows[spec.s, spec.j] * phase[spec.n] for spec in specs]
+        # One vector per m: specs whose n agree mod q share it.
+        ms = [-int(spec.n) % q for spec in specs]
+        phase = {m: phases(q, m * a % q) for m in set(ms)}
+        last = [rows[spec.s, spec.j] * phase[m] for spec, m in zip(specs, ms)]
         for total, terms in zip(sums, last):
             total.add(terms.real)
     tails = [float(np.abs(terms).sum()) for terms in last] if last else [0.0] * len(specs)
@@ -252,9 +256,10 @@ def power_moment_sum(lo: float, hi: float, u: int, theta: float, k: int) -> floa
 
     The inner sum f(q) is multiplicative in q, so each q is evaluated as
     the product of f(p^e) over the prime powers p^e exactly dividing it.
-    Those local factors are built once per call: a prime p costs O(p)
-    from the d = gcd(k, p-1) coset sums (f(p) = 0 exactly when d = 1), a
-    higher prime power one DFT row.  The range must be finite.
+    Those local factors are built once per call: a prime p costs O(1)
+    when d = gcd(k, p-1) <= 2 (f(p) = 0 exactly when d = 1, Gauss sums
+    of modulus sqrt(p) when d = 2) and O(p) from the d coset sums when
+    d >= 3, a higher prime power one DFT row.  The range must be finite.
     """
     if not 1 <= lo < hi < math.inf:
         raise ValueError("need 1 <= lo < hi < inf")

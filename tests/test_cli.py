@@ -325,16 +325,19 @@ class TestWalkValidation:
         assert out == "" and "C must be finite" in err
 
 
-# Each flag of the commands that walk the moduli, set in turn to a boundary
-# value: each case finishes or is refused (exit 2) before the walk, never
-# exit 1, such as an OverflowError from a 401-digit order.
+# Each flag of the commands that walk the moduli, and the order flags of
+# oracle, set in turn to a boundary value: each case finishes or is refused
+# (exit 2) before the walk, never exit 1, such as an OverflowError from a
+# 401-digit order, or a MemoryError from forming r**(k-1) or per_slot**s.
 BOUNDARY_BASES = {
     "series": "series --k 3 --s 9 --j 1 --n 1000 --Q 50",
     "series-range": "series --k 3 --s 9 --j 1 --n-min 10 --n-max 20 --Q 50",
     "expansion": "expansion --k 3 --s 13 --J 2 --n 1000 --Q 50",
     "thm14": "thm14 --k 3 --s 8 --Q 3 --trunc 50 --m 2",
     "thm15": "thm15 --k 3 --s 13 --j 1 --x 50 --Q 20",
+    "oracle": "oracle --k 3 --s 3 --n-max 10",
 }
+BOUNDARY_FLAGS = {"oracle": ("--k", "--s")}  # oracle --n-max sizes the table itself
 BOUNDARY_VALUES = {"0": 0, "-1": -1, "2**63-1": 2**63 - 1, "2**63": 2**63,
                    "10**400": 10**400}
 BOUNDARY_CASES = [
@@ -342,6 +345,7 @@ BOUNDARY_CASES = [
                  id=f"{base} {words[i]} {name}")
     for base, words in ((base, argv.split()) for base, argv in BOUNDARY_BASES.items())
     for i in range(1, len(words), 2)
+    if words[i] in BOUNDARY_FLAGS.get(base, words)
     for name, value in BOUNDARY_VALUES.items()
 ]
 

@@ -161,8 +161,26 @@ class TestBatch:
             assert err <= 1e-12 * q
 
 
+def coset_leaders(p: int, k: int) -> list:
+    """The least element of each coset of the nonzero k-th powers mod p, in
+    increasing order, by listing the cosets."""
+    powers = {pow(r, k, p) for r in range(1, p)}
+    leaders, seen = [], set()
+    for c in range(1, p):
+        if c not in seen:
+            leaders.append(c)
+            seen |= {c * h % p for h in powers}
+    return leaders
+
+
 class TestCosetSums:
-    @pytest.mark.parametrize("p,k", [(7, 3), (13, 4), (13, 6), (101, 2), (31, 5), (3, 3)])
+    @pytest.mark.parametrize("p,k", [
+        (7, 3), (13, 4), (13, 6), (31, 5), (3, 3),
+        # d = 2, where the values are Gauss sums: p = 1 mod 4 ...
+        (5, 2), (101, 2), (5, 6), (17, 6), (13, 14), (29, 10),
+        # ... and p = 3 mod 4 (k = 4 has d = 2 only there)
+        (3, 2), (103, 2), (7, 4), (19, 4), (1019, 4), (11, 6), (23, 6),
+    ])
     def test_each_value_is_S_on_its_coset(self, p, k):
         row = expsums.batch_values(p, k)
         values = expsums.coset_sums(p, k)
@@ -174,8 +192,27 @@ class TestCosetSums:
         if d > 1:
             assert np.all(matches.sum(axis=1) >= 1)
             assert all(np.count_nonzero(matches[:, i]) >= (p - 1) // d for i in range(d))
+            # in order of the cosets' least elements, the coset of 1 first
+            leaders = coset_leaders(p, k)
+            assert np.abs(values - row[leaders]).max() <= 1e-9 * p
         else:
             assert values[0] == 0.0 and np.all(matches)
+
+    @pytest.mark.parametrize("p,k", [(5, 2), (3, 2), (101, 2), (103, 2), (19, 4), (17, 6),
+                                     (4909, 2), (5099, 14)])
+    def test_quadratic_cosets_need_no_residues_or_phases(self, monkeypatch, p, k):
+        assert math.gcd(k, p - 1) == 2
+        row = expsums.batch_values(p, k)
+
+        def refused(*args):
+            raise AssertionError("computed at d = 2")
+
+        monkeypatch.setattr(expsums, "power_residues", refused)
+        monkeypatch.setattr(expsums, "phases", refused)
+        values = expsums.coset_sums(p, k)
+        g = math.sqrt(p) * (1 if p % 4 == 1 else 1j)
+        assert values.tolist() == [g, -g]
+        assert abs(values[0] - row[1]) <= 1e-9 * p
 
 
 class TestPowerResidues:

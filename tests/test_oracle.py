@@ -102,6 +102,24 @@ class TestCountRepresentations:
         assert table.width_bits >= 128
         assert table.width_bits % 8 == 0
 
+    def test_width_past_the_header_field_is_refused_before_the_power(self):
+        # per_slot = 2 at N = 1: s = 2^32 - 9 gives 2^s of 2^32 - 8 bits and
+        # a width of 2^32 bits, past the largest the header's uint32 holds
+        for k, s, N in [(3, 2**32 - 9, 1), (3, 2**63 - 1, 10), (3, 2**63, 10),
+                        (2, 10**400, 100), (2**63, 2**63, 10**6)]:
+            with pytest.raises(ValueError, match=rf"s = {s} is too large.* 4294967295 bits"):
+                oracle.count_representations(k, s, N)
+        with pytest.raises(ValueError, match="too large"):
+            oracle.count_representations_signed(2, 2**63, 10)
+
+    @pytest.mark.parametrize("k,s,N,signed", [(2, 1, 1, False), (3, 50, 30, False),
+                                              (2, 7, 10**4, True), (3, 10**4, 10, False),
+                                              (5, 3, 10**6, False)])
+    def test_width_is_the_tuple_bound_in_whole_bytes(self, k, s, N, signed):
+        per_slot = (2 if signed else 1) * series.integer_kth_root(N, k) + 1
+        bits = (per_slot**s).bit_length() + 1
+        assert oracle._width_bits_for(k, s, N, signed) == max(128, 8 * ((bits + 7) // 8))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             oracle.count_representations(2, 0, 10)
@@ -372,3 +390,14 @@ class TestExports:
         with pytest.raises(oracle.WidthOverflowError):
             oracle.write_binary(bogus, str(path))
         assert not path.exists()
+
+    def test_order_past_the_header_field_is_refused_on_export(self, tmp_path):
+        path = tmp_path / "x.bin"
+        for k in (2**32, 2**63 - 1, 10**400):
+            table = oracle.count_representations(k, 3, 10)  # only 1 is a k-th power
+            assert table.counts[:5] == (0, 0, 0, 1, 0)
+            with pytest.raises(ValueError, match=f"k = {k} does not fit"):
+                oracle.write_binary(table, str(path))
+            assert not path.exists()
+        oracle.write_binary(oracle.count_representations(2**32 - 1, 3, 10), str(path))
+        assert oracle.read_binary(str(path)).k == 2**32 - 1

@@ -52,6 +52,18 @@ class TestTruncationSpec:
         Q = TruncationSpec(3, 9, 10**400).Q
         assert Q**3 <= 10**400 < (Q + 1) ** 3
 
+    def test_integer_root_of_a_huge_order_is_one_without_a_power(self):
+        # k >= bit_length(n) means n < 2^k: the root is 1 at once, where
+        # r**(k-1) at k = 2^63 would need an integer of 2^63 bits
+        for n in (1, 2, 3, 7, 8, 2**64 - 1, 10**400):
+            for k in (n.bit_length(), n.bit_length() + 1, 2**63 - 1, 2**63, 10**400):
+                if k > 2:
+                    assert series.integer_kth_root(n, k) == 1
+        for n in (4, 8, 9, 2**64 - 1, 10**400):
+            k = n.bit_length() - 1  # n >= 2^k: the root is at least 2
+            r = series.integer_kth_root(n, k)
+            assert r >= 2 and r**k <= n < (r + 1) ** k
+
     def test_negative_n_needs_explicit_Q(self):
         with pytest.raises(ValueError):
             TruncationSpec(3, 9, -5)
@@ -203,6 +215,23 @@ class TestOneWalk:
         for got, spec in zip(series.truncated_series(specs), specs):
             assert got == series.modified_series_truncated(spec)
 
+    def test_one_phase_vector_per_residue_of_n(self, monkeypatch):
+        # every n = Q! m is 0 mod each q <= Q, so those specs share a vector
+        Qs, m = [2, 5, 3, 5, 8], 7
+        ns = {math.factorial(Q) * m for Q in Qs}
+        alone = [series.factorial_multiple_discrepancy(9, 3, [Q], m, 45)[0] for Q in Qs]
+        calls = spy(monkeypatch, "phases")
+        listed = series.factorial_multiple_discrepancy(9, 3, Qs, m, 45)
+        assert [d.hex() for d in listed] == [d.hex() for d in alone]
+        per_q = {}
+        for args, _ in calls:
+            per_q[args[0]] = per_q.get(args[0], 0) + 1
+        # the walked moduli, each with one vector per distinct -n mod q
+        assert sorted(per_q) == [q for q in range(1, 46) if q not in K3_VANISHING]
+        for q, count in per_q.items():
+            assert count == len({-n % q for n in ns}), q
+        assert len(ns) == 4 and per_q[7] == 1  # 7 divides every n = Q! 7
+
     def test_k3_vanishing_set_by_brute_force(self):
         assert brute_vanishing(3, 45) == K3_VANISHING
 
@@ -307,6 +336,22 @@ class TestPowerMomentSum:
         for u, theta, target in ((8, 0.0, -2.0), (10, 0.5, -2.5), (12, 1.0, -3.0)):
             vals = [series.power_moment_sum(Q, 2 * Q, u, theta, 2) for Q in Qs]
             assert loglog_slope(Qs, vals) == pytest.approx(target, abs=0.3)
+
+    def test_quadratic_primes_build_no_residues(self, monkeypatch):
+        # at k = 2 every odd prime has d = 2 and needs no residues, so only
+        # the 41 prime powers p^e with e >= 2 in [3072, 5120) build them
+        calls, fn = [], expsums.power_residues
+
+        def counted(q, k):
+            calls.append(q)
+            return fn(q, k)
+
+        monkeypatch.setattr(expsums, "power_residues", counted)
+        series.power_moment_sum(3072, 5120, 8, 0.0, 2)
+        assert len(calls) <= 41
+        for q in calls:
+            (p, pe), = expsums.prime_power_parts(q)
+            assert pe == q > p
 
     def test_rejects_infinite_hi(self):
         for hi in (math.inf, math.nan):
