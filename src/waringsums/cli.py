@@ -271,16 +271,38 @@ def _cmd_residuals(args) -> int:
     return 0
 
 
+def _is_float(num: int, den: int = 1) -> bool:
+    """Whether num / den rounds to a finite float: its size is below
+    2^1024 - 2^970, halfway from the largest float to 2^1024."""
+    return abs(num) < den * (2**1024 - 2**970)
+
+
 def _cmd_em_verify(args) -> int:
     xs = _parse_int_list(args.X)
     specs = [eulermac.LatticeSumSpec(args.q, args.r, x, args.theta, args.k, args.N)
-             for x in xs]
+             for x in xs]  # refuses a k of 2^63 or more
+    q, r, k = args.q, args.r, args.k
+    # the asymptotics form 2X/q, and -r/q in the positive variant
+    if not _is_float(q):
+        raise ValueError(f"--q {q} passes the largest float")
+    if args.variant == "positive" and not _is_float(r, q):
+        raise ValueError(f"--r {r} over --q {q} passes the largest float")
     for x in xs:
         # at most 2X/q + 1 terms, each at most X^(k theta): a float holds the sum
-        terms = math.log(2 * x + args.q) - math.log(args.q)
-        if args.k * args.theta * math.log(x) + terms >= _LOG_MAX:
-            raise ValueError(f"--theta {args.theta} is too large for --k {args.k} at "
+        terms = math.log(2 * x + q) - math.log(q)
+        if k * args.theta * math.log(x) + terms >= _LOG_MAX:
+            raise ValueError(f"--theta {args.theta} is too large for --k {k} at "
                              f"--X {x}: the direct sum could pass the largest float")
+        lo = 1 if args.variant == "positive" else -x
+        first = lo + (r - lo) % q  # the window's smallest point
+        if (x - first) // q + 1 >= 2**63:
+            raise ValueError(f"--X {x} at --q {q} gives a window of 2^63 or more points")
+        # every base X^k - x^k becomes a float: the largest is at most X^k,
+        # or X^k + |first|^k for odd k and a negative smallest point
+        if k * (x.bit_length() - 1) >= 1024 or not _is_float(
+                x**k + (max(-first, 0) ** k if k % 2 else 0)):
+            raise ValueError(f"--X {x} at --k {k} gives a base X^k - x^k that passes "
+                             "the largest float")
     # the asymptotics validate N and the variant, so they run first
     asymptotics = [eulermac.progression_power_sum_asymptotic(spec, args.variant)
                    for spec in specs]

@@ -4,9 +4,11 @@ lattice_power_sum is the one direct evaluator: it sums
 (X^k - x_1^k - ... - x_l^k)^theta over lattice points x_i = r_i mod q,
 either two-sided (|x_i| <= X) or positive (0 < x_i <= X), skipping every
 point whose base is negative; progression_power_sum is its l = 1 case.
-Window endpoints and signs are decided in exact arithmetic: ints,
-Fractions, and binary floats are all exact rationals, so no boundary
-depends on a float comparison.
+Its one leaf forms the bases in numpy blocks: int64 where they fit, and
+otherwise object blocks of exact Python ints (or Fractions).  Window
+endpoints and signs are decided in exact arithmetic: ints, Fractions,
+and binary floats are all exact rationals, so no boundary depends on a
+float comparison.
 
 The asymptotic evaluators return the corresponding main terms, the
 boundary correction Psi that appears in the positive variant when k is
@@ -27,7 +29,7 @@ import numpy as np
 
 from .arith import log_gamma, periodic_bernoulli
 from .expsums import ExactSum
-from .series import integer_kth_root
+from .series import _check_int64, integer_kth_root
 
 __all__ = [
     "LatticeSumSpec",
@@ -64,6 +66,7 @@ class LatticeSumSpec:
             raise ValueError("q must be >= 1")
         if self.k < 2:
             raise ValueError("k must be >= 2")
+        _check_int64("k", self.k)  # numpy raises an int64 block to the power k
         if not self.X > 0:
             raise ValueError("X must be positive")
         if not (math.isfinite(self.theta) and self.theta >= 0):
@@ -121,7 +124,8 @@ def progression_power_sum_asymptotic(
 ) -> Tuple[float, float, float]:
     """(main, psi, error_scale) for the one-dimensional sum.
 
-    two_sided: main = (2X/q) X^{k theta} * gamma ratio, psi = 0.
+    two_sided: the single term and error scale of
+    lattice_power_sum_asymptotic at l = 1, psi = 0.
     positive (odd k only): main covers half the range, and psi collects
     the boundary terms
         X^{k theta} * sum_{0 <= nu <= (N-1)/k}
@@ -131,17 +135,14 @@ def progression_power_sum_asymptotic(
     """
     _check_variant(variant)
     r, q, k, theta, N = _scalar_residue(spec), spec.q, spec.k, spec.theta, spec.N
-    X = float(spec.X)
-    xkt = X ** (k * theta)
-    ratio = _gamma_ratio(theta, k)
-    error_scale = xkt * (q / X) ** (N - 1)
     if variant == "two_sided":
-        _check_order(N, theta)
-        return (2.0 * X / q) * xkt * ratio, 0.0, error_scale
+        (main,), error_scale = lattice_power_sum_asymptotic(spec, variant)
+        return main, 0.0, error_scale
     if k % 2 == 0:
         raise ValueError("positive-variant asymptotics require odd k")
     _check_order(N, theta)
-    main = xkt * X / q * ratio
+    X = float(spec.X)
+    xkt = X ** (k * theta)
     psi = 0.0
     for nu in range((N - 1) // k + 1):
         psi += (
@@ -150,7 +151,7 @@ def progression_power_sum_asymptotic(
             * periodic_bernoulli(nu * k + 1, -r / q)
             * (q / X) ** (k * nu)
         )
-    return main, xkt * psi, error_scale
+    return xkt * X / q * _gamma_ratio(theta, k), xkt * psi, xkt * (q / X) ** (N - 1)
 
 
 def _powers(fb: np.ndarray, theta: float) -> np.ndarray:
@@ -172,9 +173,10 @@ def lattice_power_sum(spec: LatticeSumSpec, variant: str = "two_sided") -> float
     coordinate's window stops at the exact k-th root of its budget, so
     no base formed is negative; odd-k two-sided sums scan the whole
     window and skip a negative base by an exact comparison.  The last
-    coordinate runs in blocks of _CHUNK points, in int64 when the bound
-    below holds and over Python ints otherwise; the int64 -> float64 cast
-    rounds like float(int), so both leaves give the same float64 bases.
+    coordinate runs in blocks of _CHUNK points through one leaf: the
+    block is int64 when the bound below holds and a numpy object array of
+    Python ints (or Fractions) otherwise, and either cast to float64
+    rounds like float(), so both dtypes give the same float64 bases.
     Each block's terms come from one rule (_powers: fb * sqrt(fb) at
     theta = 3/2, Python's pow at every other theta) and go into one
     ExactSum, so the value is math.fsum of the terms, bit for
@@ -190,26 +192,18 @@ def lattice_power_sum(spec: LatticeSumSpec, variant: str = "two_sided") -> float
     Xk = int(Xf) ** k if exact_int else Xf**k
     lower = 1 if variant == "positive" else -P
     can_prune = k % 2 == 0 or variant == "positive"
-    # Every |x| <= P and every block ends below P + q, while every x^i,
-    # partial budget and leaf base lies within +-(X^k + l P^k).
+    # Every |x| <= P and the step is q, while every x^i, partial budget
+    # and leaf base lies within +-(X^k + l P^k).
     fits = exact_int and max(P + q, Xk + l * P**k) < 2**63
+    dtype = np.int64 if fits else object
 
     total = ExactSum()
 
     def leaf(remaining, xs: range) -> None:
-        for i in range(0, len(xs), _CHUNK):
-            block = xs[i : i + _CHUNK]
-            if fits:
-                x = np.arange(block.start, block.stop, q, dtype=np.int64)
-                xk = x.copy()
-                for _ in range(k - 1):
-                    xk *= x
-                bases = remaining - xk
-                fb = bases[bases >= 0].astype(np.float64)
-            else:
-                fb = np.array([float(b) for b in (remaining - x**k for x in block)
-                               if b >= 0], dtype=np.float64)
-            total.add(_powers(fb, theta))
+        for start in range(xs.start, xs.stop, _CHUNK * q):
+            x = np.arange(start, min(start + _CHUNK * q, xs.stop), q, dtype=dtype)
+            bases = remaining - x**k
+            total.add(_powers(bases[bases >= 0].astype(np.float64), theta))
 
     def walk(depth: int, remaining) -> None:
         lo, hi = lower, P
@@ -242,15 +236,14 @@ def lattice_power_sum_asymptotic(
     _check_variant(variant)
     rs = spec.residues
     q, k, theta, N, l = spec.q, spec.k, spec.theta, spec.N, len(rs)
+    if variant == "positive" and k % 2 == 0:
+        raise ValueError("positive-variant asymptotics require odd k")
+    _check_order(N, theta, cap=k + 1 if variant == "positive" else math.inf)
     X = float(spec.X)
     xkt = X ** (k * theta)
     error_scale = xkt * (q / X) ** (N - 1) * (1.0 + X / q) ** (l - 1)
     if variant == "two_sided":
-        _check_order(N, theta)
         return ((2.0 * X / q) ** l * xkt * _gamma_ratio(theta, k, l),), error_scale
-    if k % 2 == 0:
-        raise ValueError("positive-variant asymptotics require odd k")
-    _check_order(N, theta, cap=k + 1)
     terms = []
     for m in range(l + 1):
         b_m = symmetric_bernoulli(q, rs, m)

@@ -139,7 +139,7 @@ def direct_lattice_power_sum(spec, variant: str) -> float:
     """The l-dimensional lattice sum as a plain nested loop over Python
     ints (or Fractions): every point of the window, negative bases
     skipped.  The library never calls this; it is the reference for its
-    blocked int64 and Python-int leaves."""
+    one blocked leaf, in int64 and in exact (object) blocks."""
     X = Fraction(spec.X)
     P = math.floor(X)
     Xk = int(X) ** spec.k if X.denominator == 1 else X**spec.k

@@ -325,10 +325,12 @@ class TestWalkValidation:
         assert out == "" and "C must be finite" in err
 
 
-# Each flag of the commands that walk the moduli, and the order flags of
-# oracle, set in turn to a boundary value: each case finishes or is refused
-# (exit 2) before the walk, never exit 1, such as an OverflowError from a
-# 401-digit order, or a MemoryError from forming r**(k-1) or per_slot**s.
+# Each flag of the commands that walk the moduli, of em-verify, expsum and
+# selftest, and the order flags of oracle, set in turn to a boundary value:
+# each case finishes or is refused (exit 2) before the walk or the direct
+# lattice sum, never exit 1, such as an OverflowError from a 401-digit
+# order, or a MemoryError from forming r**(k-1) or per_slot**s.  em-verify
+# runs at q = 1, where a large --X holds 2^63 or more points.
 BOUNDARY_BASES = {
     "series": "series --k 3 --s 9 --j 1 --n 1000 --Q 50",
     "series-range": "series --k 3 --s 9 --j 1 --n-min 10 --n-max 20 --Q 50",
@@ -336,6 +338,9 @@ BOUNDARY_BASES = {
     "thm14": "thm14 --k 3 --s 8 --Q 3 --trunc 50 --m 2",
     "thm15": "thm15 --k 3 --s 13 --j 1 --x 50 --Q 20",
     "oracle": "oracle --k 3 --s 3 --n-max 10",
+    "em-verify": "em-verify --k 3 --theta 1.5 --q 1 --r 0 --N 2 --X 100",
+    "expsum": "expsum --k 3 --q 7 --a 2",
+    "selftest": "selftest --seed 1",
 }
 BOUNDARY_FLAGS = {"oracle": ("--k", "--s")}  # oracle --n-max sizes the table itself
 BOUNDARY_VALUES = {"0": 0, "-1": -1, "2**63-1": 2**63 - 1, "2**63": 2**63,
@@ -352,13 +357,13 @@ BOUNDARY_CASES = [
 
 @pytest.mark.parametrize("argv", BOUNDARY_CASES)
 def test_boundary_value_finishes_or_is_refused_before_the_walk(monkeypatch, capsys, argv):
-    walks, walk = [], series._walk
+    walks = []
+    for module, name in ((series, "_walk"), (eulermac, "lattice_power_sum")):
+        def counted(*args, _work=getattr(module, name)):
+            walks.append(args)
+            return _work(*args)
 
-    def counted(*args):
-        walks.append(args)
-        return walk(*args)
-
-    monkeypatch.setattr(series, "_walk", counted)
+        monkeypatch.setattr(module, name, counted)
     code = cli.run(argv)
     out, err = capsys.readouterr()
     assert code in (0, 2), err
@@ -567,6 +572,11 @@ class TestExperimentCommands:
     @pytest.mark.parametrize("argv", [
         "em-verify --k 3 --theta 1.5 --q 1 --r 0 --N 5 --X 40000000",
         "em-verify --k 2 --theta 1.5 --q 1 --r 0 --variant positive --X 40000000",
+        # -r/q, which the positive variant forms, passes the largest float
+        f"em-verify --k 3 --theta 1.5 --q 7 --r {10**400} --variant positive --X 100",
+        # X^3 is a float, but the base X^3 - (-X)^3 = 2 X^3 is not
+        "em-verify --k 3 --theta 0 --q {X} --r 0 --X {X}".format(
+            X=series.integer_kth_root(int(sys.float_info.max), 3)),
     ])
     def test_em_verify_refuses_before_the_direct_sum(self, monkeypatch, capsys, argv):
         def direct_sum(*args):

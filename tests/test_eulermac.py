@@ -81,17 +81,24 @@ class TestProgressionDirect:
             LatticeSumSpec(1, 1, 10, -0.5, 2)
         with pytest.raises(ValueError):
             LatticeSumSpec(3, (), 10, 1.0, 2)
+        with pytest.raises(ValueError, match="k must be below 2"):
+            LatticeSumSpec(1, 0, 1, 0.0, 2**63)  # an int64 block's power k
         for theta in (math.nan, math.inf):
             with pytest.raises(ValueError, match="theta"):
                 LatticeSumSpec(11, 3, 1000, theta, 2)
 
 
 def _spy_on_arange(monkeypatch):
+    """Record each block the leaf forms as (start, stop, step) and its dtype."""
     calls = []
     arange = np.arange
     monkeypatch.setattr(eulermac.np, "arange",
-                        lambda *a, **kw: calls.append(a) or arange(*a, **kw))
+                        lambda *a, **kw: calls.append((a, kw["dtype"])) or arange(*a, **kw))
     return calls
+
+
+def _dtypes(calls) -> set:
+    return {dtype for _, dtype in calls}
 
 
 class TestProgressionInt64Path:
@@ -107,7 +114,7 @@ class TestProgressionInt64Path:
                 spec = LatticeSumSpec(q, r, X, theta, k)
                 got = eulermac.progression_power_sum(spec, variant)
                 assert got.hex() == direct_progression_power_sum(spec, variant).hex()
-        assert calls  # the int64 path ran
+        assert _dtypes(calls) == {np.int64}
 
     def test_chunk_edges(self, monkeypatch):
         calls = _spy_on_arange(monkeypatch)
@@ -119,6 +126,7 @@ class TestProgressionInt64Path:
                 assert (eulermac.progression_power_sum(spec, variant).hex()
                         == direct_progression_power_sum(spec, variant).hex())
                 assert len(calls) == -(-points // chunk)
+                assert _dtypes(calls) == {np.int64}
 
     @pytest.mark.parametrize("spec", [
         LatticeSumSpec(7, 3, 10**4, 1.5, 5),           # X^5 > 2^63
@@ -134,7 +142,7 @@ class TestProgressionInt64Path:
         for variant in eulermac.VARIANTS:
             got = eulermac.progression_power_sum(spec, variant)
             assert got.hex() == direct_progression_power_sum(spec, variant).hex()
-        assert calls == []
+        assert _dtypes(calls) == {object}
 
 
 class TestLatticeLeaves:
@@ -148,14 +156,15 @@ class TestLatticeLeaves:
     def test_leaf_bit_identical_to_python_int_loop(self, monkeypatch, k, variant, leaf):
         calls = _spy_on_arange(monkeypatch)
         monkeypatch.setattr(eulermac, "_CHUNK", 5)  # several blocks per leaf
+        dtype = np.int64 if leaf == "int64" else object
         for q, rs, X in self.CASES:
-            if leaf == "python":
+            if dtype is object:  # a half-integer X is past the int64 bound
                 X = Fraction(2 * X + 1, 2)
             for theta in (0.0, 1 / 3, 1.5):
                 spec = LatticeSumSpec(q, rs, X, theta, k)
                 got = eulermac.lattice_power_sum(spec, variant)
                 assert got.hex() == direct_lattice_power_sum(spec, variant).hex()
-        assert bool(calls) == (leaf == "int64")
+        assert _dtypes(calls) == {dtype}
 
     @pytest.mark.parametrize("variant, k", [("two_sided", 2), ("two_sided", 4),
                                             ("positive", 2), ("positive", 3)])
@@ -167,7 +176,8 @@ class TestLatticeLeaves:
         for q, rs, X in self.CASES + ((1, (0, 0), 25), (1, (0, 0, 0), 9)):
             calls.clear()
             kept = eulermac.lattice_power_sum(LatticeSumSpec(q, rs, X, 0.0, k), variant)
-            assert sum(len(range(*a)) for a in calls) == kept > 0
+            assert sum(len(range(*a)) for a, _ in calls) == kept > 0
+            assert _dtypes(calls) == {np.int64}
             for theta in (1 / 3, 1.5):
                 spec = LatticeSumSpec(q, rs, X, theta, k)
                 got = eulermac.lattice_power_sum(spec, variant)
@@ -175,13 +185,13 @@ class TestLatticeLeaves:
 
     def test_bound_covers_every_coordinate(self, monkeypatch):
         # X^3 < 2^63, but at x_1 near -X the budget X^3 - x_1^3 - x_2^3
-        # reaches 3 X^3 > 2^63: only the Python-int leaf is exact here
+        # reaches 3 X^3 > 2^63: only exact (object) blocks are exact here
         calls = _spy_on_arange(monkeypatch)
         spec = LatticeSumSpec(400_009, (5, 7), 1_600_000, 1.5, 3)
         for variant in eulermac.VARIANTS:
             got = eulermac.lattice_power_sum(spec, variant)
             assert got.hex() == direct_lattice_power_sum(spec, variant).hex()
-        assert calls == []
+        assert _dtypes(calls) == {object}
 
 
 class TestTermRule:
@@ -246,6 +256,12 @@ class TestProgressionAsymptotic:
             eulermac.progression_power_sum_asymptotic(
                 LatticeSumSpec(3, 1, 100, 0.0, 2, N=2)
             )
+        # N is checked before the error scale raises (q/X)^(N-1) as a float
+        for variant in eulermac.VARIANTS:
+            for asymptotic in (eulermac.progression_power_sum_asymptotic,
+                               eulermac.lattice_power_sum_asymptotic):
+                with pytest.raises(ValueError, match="order N"):
+                    asymptotic(LatticeSumSpec(3, 1, 100, 2.5, 3, N=10**400), variant)
 
     def test_positive_requires_odd_k(self):
         with pytest.raises(ValueError):
