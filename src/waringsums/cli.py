@@ -33,6 +33,9 @@ ROWS_PER_WRITE = 4096  # rows formatted per write, which bounds the emitter's me
 _INT64 = np.iinfo(np.int64)
 _FLOAT = "%.15g"  # the format of every float cell
 _LOG_MAX = math.log(sys.float_info.max)
+# The most lattice points em-verify's direct sums visit in one run, over all
+# listed X: about 20-30 s at the 20 ns a point they take on one Xeon core.
+MAX_DIRECT_POINTS = 2**30
 
 
 # ----------------------------- plumbing -----------------------------------
@@ -287,23 +290,32 @@ def _cmd_em_verify(args) -> int:
         raise ValueError(f"--q {q} passes the largest float")
     if args.variant == "positive" and not _is_float(r, q):
         raise ValueError(f"--r {r} over --q {q} passes the largest float")
+    eulermac._check_order(args.N, args.theta)  # N is in range before it is used
+    points = 0
     for x in xs:
+        log_power = k * (args.theta * math.log(x))  # of X^(k theta); 0, not nan, at X = 1
         # at most 2X/q + 1 terms, each at most X^(k theta): a float holds the sum
         terms = math.log(2 * x + q) - math.log(q)
-        if k * args.theta * math.log(x) + terms >= _LOG_MAX:
+        if log_power + terms >= _LOG_MAX:
             raise ValueError(f"--theta {args.theta} is too large for --k {k} at "
                              f"--X {x}: the direct sum could pass the largest float")
+        # and the asymptotics' error scale X^(k theta) (q/X)^(N-1)
+        if log_power + (args.N - 1) * (math.log(q) - math.log(x)) >= _LOG_MAX:
+            raise ValueError(f"--N {args.N} at --q {q} and --X {x} gives an error scale "
+                             "X^(k theta) (q/X)^(N-1) that passes the largest float")
         lo = 1 if args.variant == "positive" else -x
         first = lo + (r - lo) % q  # the window's smallest point
-        if (x - first) // q + 1 >= 2**63:
-            raise ValueError(f"--X {x} at --q {q} gives a window of 2^63 or more points")
+        points += (x - first) // q + 1
         # every base X^k - x^k becomes a float: the largest is at most X^k,
         # or X^k + |first|^k for odd k and a negative smallest point
         if k * (x.bit_length() - 1) >= 1024 or not _is_float(
                 x**k + (max(-first, 0) ** k if k % 2 else 0)):
             raise ValueError(f"--X {x} at --k {k} gives a base X^k - x^k that passes "
                              "the largest float")
-    # the asymptotics validate N and the variant, so they run first
+    if points > MAX_DIRECT_POINTS:
+        raise ValueError(f"--X {args.X} at --q {q} gives the direct sums {points} lattice "
+                         f"points, more than the {MAX_DIRECT_POINTS} one run may visit")
+    # the asymptotics refuse the positive variant at even k, so they run first
     asymptotics = [eulermac.progression_power_sum_asymptotic(spec, args.variant)
                    for spec in specs]
 

@@ -46,6 +46,7 @@ MAX_MODULUS = 3_037_000_500
 _LOW_BITS = np.uint64((1 << 26) - 1)  # mantissa bits moved into the remainder
 _BATCH = 1 << 25  # values per pass of the bins; up to this many every bin sum is exact
 _HOLD = 4096  # small inputs are held until this many can be binned in one pass
+_BLOCK = 4096  # moduli factored at once by prime_power_parts
 
 
 class ExactSum:
@@ -127,29 +128,38 @@ def power_residues(q: int, k: int) -> np.ndarray:
     return res
 
 
-def prime_power_parts(q: int) -> list[tuple[int, int]]:
-    """The pairs (p, p^e) with p^e exactly dividing q, p increasing, by
-    trial division; q = 1 gives none."""
-    parts, p = [], 2
-    while p * p <= q:
-        if q % p == 0:
-            pe = 1
-            while q % p == 0:
-                q, pe = q // p, pe * p
-            parts.append((p, pe))
-        p += 1
-    if q > 1:
-        parts.append((q, q))
-    return parts
+def prime_power_parts(lo: int, hi: int):
+    """Yield for each q in [lo, hi) its pairs (p, p^e), p^e exactly dividing q, p increasing.
+    Blocks of _BLOCK q are sieved: each d up to the root of a block's last q divides out of
+    its multiples, smallest first, so only primes divide and what is left is 1 or a prime."""
+    if lo < 1:
+        raise ValueError(f"need lo >= 1, got {lo}")
+    for start in range(lo, hi, _BLOCK):
+        rest = np.arange(start, min(start + _BLOCK, hi), dtype=np.int64)
+        parts = [[] for _ in rest]
+        for d in range(2, math.isqrt(int(rest[-1])) + 1):
+            hit = np.arange(-start % d, rest.size, d)
+            hit = live = hit[rest[hit] % d == 0]
+            before = rest[hit]
+            while live.size:
+                rest[live] //= d
+                live = live[rest[live] % d == 0]
+            for i, pe in zip(hit.tolist(), (before // rest[hit]).tolist()):
+                parts[i].append((d, pe))
+        yield from (ps + [(r, r)] if r > 1 else ps for ps, r in zip(parts, rest.tolist()))
+
+
+def _units(q: int, parts) -> np.ndarray:
+    """The a mod q coprime to q: the multiples of each p of its parts sieved out."""
+    keep = np.ones(q, dtype=bool)
+    for p, _ in parts:
+        keep[::p] = False
+    return np.flatnonzero(keep)
 
 
 def coprime_residues(q: int) -> np.ndarray:
-    """Indices a mod q with 1 <= a <= q and gcd(a, q) = 1 (q=1 gives [0]),
-    by sieving out the multiples of each prime of q."""
-    keep = np.ones(q, dtype=bool)
-    for p, _ in prime_power_parts(q):
-        keep[::p] = False
-    return np.flatnonzero(keep)
+    """Indices a mod q with 1 <= a <= q and gcd(a, q) = 1 (q=1 gives [0])."""
+    return _units(q, next(prime_power_parts(q, q + 1)))
 
 
 def phases(q: int, exponents: np.ndarray) -> np.ndarray:
@@ -199,12 +209,7 @@ def binned_dft(residues: np.ndarray, weighted: bool = False) -> np.ndarray:
 
 
 def batch_values(q: int, k: int) -> np.ndarray:
-    """S(q, a) for all a = 0..q-1 as one complex array.
-
-    Computed as the conjugated DFT of the residue histogram
-    c(m) = #{1 <= r <= q : r^k = m mod q}:
-    S(q, a) = sum_m c(m) e(a m / q) = conj(FFT(c))[a].
-    """
+    """S(q, a) for all a = 0..q-1 as one complex array, by binned_dft."""
     _validate(q, k)
     return binned_dft(power_residues(q, k))
 

@@ -52,6 +52,9 @@ MAGIC = b"WRC1"
 _HEADER = struct.Struct("<4sIIQIB")
 MIN_WIDTH_BITS = 128
 MAX_WIDTH_BITS = 2**32 - 1  # the largest width_bits in _HEADER's uint32 field
+# The largest N a table is built for: building one peaks near 190 bytes per
+# entry (189.6 MiB at k = 4, s = 20, N = 10^6), so about 1.9 GB at this N.
+MAX_N = 10**7
 
 
 class WidthOverflowError(OverflowError):
@@ -82,9 +85,10 @@ def _kth_powers(k: int, N: int) -> List[int]:
 
 
 def _width_bits_for(k: int, s: int, N: int, signed: bool) -> int:
-    """The entry width both table builders declare, after checking their
-    arguments.  Every entry is at most the number of admissible tuples,
-    itself at most (#values per slot)^s; round up to whole bytes, floor 128.
+    """The entry width every table builder declares, after checking its
+    arguments; an N above MAX_N is refused before any power is formed.
+    Every entry is at most the number of admissible tuples, itself at most
+    (#values per slot)^s; round up to whole bytes, floor 128.
 
     The WRC1 header holds the width as a uint32, which it fits exactly
     while per_slot^s, of floor(s log2(per_slot)) + 1 bits, has at most
@@ -94,11 +98,12 @@ def _width_bits_for(k: int, s: int, N: int, signed: bool) -> int:
         raise ValueError("signed counting requires even k")
     if s < 1:
         raise ValueError("s must be >= 1")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    if not 1 <= N <= MAX_N:
+        raise ValueError(f"need 1 <= N <= {MAX_N}, got N={N}: building a count table "
+                         "takes about 190 bytes per entry")
     if k < 2:
         raise ValueError("k must be >= 2")
-    per_slot = (2 if signed else 1) * len(_kth_powers(k, N)) + 1
+    per_slot = (2 if signed else 1) * _series.integer_kth_root(N, k) + 1
     if s > MAX_WIDTH_BITS or s * math.log2(per_slot) >= MAX_WIDTH_BITS - 8:
         raise ValueError(f"s = {s} is too large: its entry width would exceed the "
                          f"{MAX_WIDTH_BITS} bits a count-table header can hold")
@@ -148,8 +153,7 @@ def _carry(acc: np.ndarray, w: int) -> np.ndarray:
     return acc
 
 
-def _build_table(k: int, s: int, N: int, signed: bool) -> RepCountTable:
-    width_bits = _width_bits_for(k, s, N, signed)
+def _build_table(k: int, s: int, N: int, signed: bool, width_bits: int) -> RepCountTable:
     powers = _kth_powers(k, N)
     # One step multiplies the largest limb by less than this factor, so
     # limbs of w bits stay below 2**63 through the next step.
@@ -179,7 +183,7 @@ def _build_table(k: int, s: int, N: int, signed: bool) -> RepCountTable:
 
 def count_representations(k: int, s: int, N: int) -> RepCountTable:
     """counts[n] = #{(x_1..x_s), x_i >= 1 : sum x_i^k = n} for n <= N."""
-    return _build_table(k, s, N, signed=False)
+    return _build_table(k, s, N, False, _width_bits_for(k, s, N, signed=False))
 
 
 def count_representations_signed(k: int, s: int, N: int) -> RepCountTable:
@@ -189,7 +193,7 @@ def count_representations_signed(k: int, s: int, N: int) -> RepCountTable:
     k the analogous count needs an explicit window and is not a plain
     convolution, so it is rejected.
     """
-    return _build_table(k, s, N, signed=True)
+    return _build_table(k, s, N, True, _width_bits_for(k, s, N, signed=True))
 
 
 def count_by_enumeration(k: int, s: int, N: int, signed: bool = False) -> RepCountTable:

@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expsums import (MAX_MODULUS, ExactSum, batch_values, binned_dft, coprime_residues,
-                      coset_sums, phases, power_residues, prime_power_parts)
+from .expsums import (MAX_MODULUS, ExactSum, _units, batch_values, binned_dft, coset_sums,
+                      phases, power_residues, prime_power_parts)
 
 __all__ = [
     "integer_kth_root",
@@ -148,15 +148,14 @@ def _walk(k: int, orders, Q: int):
     dividing q, so if one of those vanishes, so does every row with
     s - j >= 1.  The walk reaches q = p^e before its multiples and tests it
     there exactly (_units_vanish); each later q with such a p^e among the
-    prime powers it factors into (which phi(q) needs anyway) is skipped
-    with no residues, DFT or powers.  An order with j = s has the row T^s,
-    which never vanishes, so a walk with one skips nothing.
+    prime powers that one sieve over [1, Q] gives (for phi(q) and the units
+    too) is skipped with no residues, DFT or powers.  An order with j = s
+    has the row T^s, which never vanishes, so a walk with one skips nothing.
     """
     skip = all(s > j for s, j in orders)
     weighted = any(j for _, j in orders)
     vanishing = set()  # the prime powers p^e < q with S(p^e, .) = 0 on the units
-    for q in range(1, Q + 1):
-        parts = prime_power_parts(q)
+    for q, parts in enumerate(prime_power_parts(1, Q + 1), 1):
         phi = math.prod(pe - pe // p for p, pe in parts)
         if any(pe in vanishing for _, pe in parts):
             yield q, phi, None, None
@@ -166,7 +165,7 @@ def _walk(k: int, orders, Q: int):
             vanishing.add(q)
             yield q, phi, None, None
             continue
-        a = coprime_residues(q)
+        a = _units(q, parts)
         S = binned_dft(residues)[a] / q
         T = binned_dft(residues, weighted=True)[a] if weighted else None
         yield q, phi, a, {(s, j): S ** (s - j) * T**j if j else S ** (s - j)
@@ -247,7 +246,7 @@ def _local_moment(p: int, pe: int, k: int, u: int) -> float:
     if pe == p:
         values = coset_sums(p, k)
         return (p - 1) // values.size * math.fsum((np.abs(values / p) ** u).tolist())
-    mags = np.abs(batch_values(pe, k)[coprime_residues(pe)]) / pe
+    mags = np.abs(batch_values(pe, k)[_units(pe, [(p, pe)])]) / pe
     return math.fsum((mags**u).tolist())
 
 
@@ -267,15 +266,14 @@ def power_moment_sum(lo: float, hi: float, u: int, theta: float, k: int) -> floa
         raise ValueError("u must be a positive integer")
     local = {}  # f(p^e) by p^e, built once per call
 
-    def row(q: int) -> float:
-        f = 1.0
-        for p, pe in prime_power_parts(q):
-            if pe not in local:
-                local[pe] = _local_moment(p, pe, k, u)
-            f *= local[pe]
-        return q**theta * f
+    def factor(p: int, pe: int) -> float:
+        if pe not in local:
+            local[pe] = _local_moment(p, pe, k, u)
+        return local[pe]
 
-    return math.fsum(row(q) for q in range(math.ceil(lo), math.ceil(hi)))
+    first = math.ceil(lo)  # one sieve factors every q of the range
+    return math.fsum(q**theta * math.prod(factor(p, pe) for p, pe in parts)
+                     for q, parts in enumerate(prime_power_parts(first, math.ceil(hi)), first))
 
 
 def negation_identity_residual(s: int, n: int, Q: int, k: int) -> float:

@@ -325,12 +325,13 @@ class TestWalkValidation:
         assert out == "" and "C must be finite" in err
 
 
-# Each flag of the commands that walk the moduli, of em-verify, expsum and
-# selftest, and the order flags of oracle, set in turn to a boundary value:
-# each case finishes or is refused (exit 2) before the walk or the direct
+# Each flag of the commands that walk the moduli, of oracle, residuals,
+# em-verify, expsum and selftest, set in turn to a boundary value: each case
+# finishes or is refused (exit 2) before the walk, the count or the direct
 # lattice sum, never exit 1, such as an OverflowError from a 401-digit
-# order, or a MemoryError from forming r**(k-1) or per_slot**s.  em-verify
-# runs at q = 1, where a large --X holds 2^63 or more points.
+# order, or a MemoryError from forming r**(k-1) or per_slot**s or from
+# allocating a count table past oracle.MAX_N.  em-verify runs at q = 1,
+# where a large --X holds more points than cli.MAX_DIRECT_POINTS.
 BOUNDARY_BASES = {
     "series": "series --k 3 --s 9 --j 1 --n 1000 --Q 50",
     "series-range": "series --k 3 --s 9 --j 1 --n-min 10 --n-max 20 --Q 50",
@@ -338,11 +339,11 @@ BOUNDARY_BASES = {
     "thm14": "thm14 --k 3 --s 8 --Q 3 --trunc 50 --m 2",
     "thm15": "thm15 --k 3 --s 13 --j 1 --x 50 --Q 20",
     "oracle": "oracle --k 3 --s 3 --n-max 10",
+    "residuals": "residuals --k 3 --s 13 --J 1 --n-min 10 --n-max 40 --Q 20",
     "em-verify": "em-verify --k 3 --theta 1.5 --q 1 --r 0 --N 2 --X 100",
     "expsum": "expsum --k 3 --q 7 --a 2",
     "selftest": "selftest --seed 1",
 }
-BOUNDARY_FLAGS = {"oracle": ("--k", "--s")}  # oracle --n-max sizes the table itself
 BOUNDARY_VALUES = {"0": 0, "-1": -1, "2**63-1": 2**63 - 1, "2**63": 2**63,
                    "10**400": 10**400}
 BOUNDARY_CASES = [
@@ -350,7 +351,6 @@ BOUNDARY_CASES = [
                  id=f"{base} {words[i]} {name}")
     for base, words in ((base, argv.split()) for base, argv in BOUNDARY_BASES.items())
     for i in range(1, len(words), 2)
-    if words[i] in BOUNDARY_FLAGS.get(base, words)
     for name, value in BOUNDARY_VALUES.items()
 ]
 
@@ -358,7 +358,8 @@ BOUNDARY_CASES = [
 @pytest.mark.parametrize("argv", BOUNDARY_CASES)
 def test_boundary_value_finishes_or_is_refused_before_the_walk(monkeypatch, capsys, argv):
     walks = []
-    for module, name in ((series, "_walk"), (eulermac, "lattice_power_sum")):
+    for module, name in ((series, "_walk"), (oracle, "_build_table"),
+                         (eulermac, "lattice_power_sum")):
         def counted(*args, _work=getattr(module, name)):
             walks.append(args)
             return _work(*args)
@@ -539,6 +540,23 @@ class TestOracleCommand:
         assert oracle.read_binary(str(cached)).counts == oracle.count_representations(
             2, 3, 50).counts
 
+    @pytest.mark.parametrize("argv", [
+        "oracle --k 3 --s 3 --n-max 100000000000",
+        pytest.param(f"oracle --k 3 --s 3 --n-max {10**400}", id="oracle --n-max 10**400"),
+        "oracle --k 2 --s 3 --n-max 10000001 --signed",
+        "residuals --k 3 --s 3 --J 0 --n-max 3000000000 --Q 10",
+    ])
+    def test_table_past_the_ceiling_is_refused_before_allocation(self, monkeypatch, capsys,
+                                                                   argv):
+        def work(*args):
+            raise AssertionError("the count began")
+
+        monkeypatch.setattr(oracle, "_kth_powers", work)
+        monkeypatch.setattr(oracle, "_build_table", work)
+        assert cli.run(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: need 1 <= N <= {oracle.MAX_N}, got N=")
+
     @pytest.mark.parametrize("argv, digest", GOLDEN)
     def test_golden_output(self, capsys, argv, digest):
         assert cli.run(argv) == 0
@@ -577,6 +595,9 @@ class TestExperimentCommands:
         # X^3 is a float, but the base X^3 - (-X)^3 = 2 X^3 is not
         "em-verify --k 3 --theta 0 --q {X} --r 0 --X {X}".format(
             X=series.integer_kth_root(int(sys.float_info.max), 3)),
+        # the error scale X^(k theta) (q/X)^(N-1) = 10^400 passes the largest float
+        pytest.param(f"em-verify --k 2 --theta 3 --q {10**200} --r 0 --N 3 --X 1",
+                     id="em-verify --q 10**200 --N 3"),
     ])
     def test_em_verify_refuses_before_the_direct_sum(self, monkeypatch, capsys, argv):
         def direct_sum(*args):
@@ -585,6 +606,23 @@ class TestExperimentCommands:
         monkeypatch.setattr(eulermac, "progression_power_sum", direct_sum)
         assert cli.run(argv.split()) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, points", [
+        ("em-verify --k 2 --theta 1.5 --q 11 --r 1 --X 1000000000000", 181818181819),
+        ("em-verify --k 3 --theta 1.5 --q 1 --r 0 --variant positive "
+         "--X 9223372036854775807", 2**63 - 1),
+        # each X alone is below the ceiling, the two together are not
+        (f"em-verify --k 2 --theta 1.5 --q 1 --r 0 --X {2**28},{2**28 + 1}", 2**30 + 4),
+    ])
+    def test_em_verify_refuses_more_points_than_its_ceiling(self, monkeypatch, capsys,
+                                                            argv, points):
+        def direct_sum(*args):
+            raise AssertionError("the direct sum ran")
+
+        monkeypatch.setattr(eulermac, "lattice_power_sum", direct_sum)
+        assert cli.run(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"{points} lattice points, more than the {2**30}" in err
 
     @pytest.mark.parametrize("theta", ["nan", "inf"])
     def test_em_verify_refuses_a_non_finite_theta(self, monkeypatch, capsys, theta):

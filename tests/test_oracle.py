@@ -112,6 +112,18 @@ class TestCountRepresentations:
         with pytest.raises(ValueError, match="too large"):
             oracle.count_representations_signed(2, 2**63, 10)
 
+    def test_table_past_the_ceiling_is_refused_before_any_power(self, monkeypatch):
+        def listed(*args):
+            raise AssertionError("the k-th powers were listed")
+
+        monkeypatch.setattr(oracle, "_kth_powers", listed)
+        for N in (oracle.MAX_N + 1, 10**11, 10**400):
+            for build in (oracle.count_representations, oracle.count_representations_signed,
+                          oracle.count_by_enumeration):
+                with pytest.raises(ValueError, match=rf"N <= {oracle.MAX_N}, got N={N}:"):
+                    build(2, 3, N)
+        assert oracle._width_bits_for(3, 3, oracle.MAX_N, False) == 128
+
     @pytest.mark.parametrize("k,s,N,signed", [(2, 1, 1, False), (3, 50, 30, False),
                                               (2, 7, 10**4, True), (3, 10**4, 10, False),
                                               (5, 3, 10**6, False)])

@@ -282,7 +282,7 @@ class TestVanishingModuli:
                   for e in range(2, 12) if p**e <= 3000]
         for q in sorted({*rng.integers(1, 3001, size=150).tolist(), *higher}):
             flagged = any(series._units_vanish(expsums.power_residues(pe, k), p)
-                          for p, pe in expsums.prime_power_parts(q))
+                          for p, pe in next(expsums.prime_power_parts(q, q + 1)))
             units = expsums.coprime_residues(q)
             largest = float(np.max(np.abs(expsums.batch_values(q, k)[units]))) / q
             assert largest < 1e-12 if flagged else largest > 1e-6, (k, q)
@@ -350,7 +350,7 @@ class TestPowerMomentSum:
         series.power_moment_sum(3072, 5120, 8, 0.0, 2)
         assert len(calls) <= 41
         for q in calls:
-            (p, pe), = expsums.prime_power_parts(q)
+            (p, pe), = next(expsums.prime_power_parts(q, q + 1))
             assert pe == q > p
 
     def test_rejects_infinite_hi(self):
@@ -411,14 +411,45 @@ class TestMomentFactors:
     @pytest.mark.parametrize("b0,b1", [(1, 2), (2, 3), (1, 500), (4090, 4100), (10**6, 10**6 + 50),
                                        (1, 3001)])
     def test_factorizations(self, b0, b1):
-        for q in range(b0, b1):
-            parts = expsums.prime_power_parts(q)
+        for q, parts in zip(range(b0, b1), expsums.prime_power_parts(b0, b1), strict=True):
             ps = [p for p, _ in parts]
             assert ps == sorted(set(ps))
             assert all(all(p % d for d in range(2, math.isqrt(p) + 1)) for p in ps)
             # each pe is a positive power of its p
             assert all(pe % p == 0 and p ** round(math.log(pe, p)) == pe for p, pe in parts)
             assert math.prod(pe for _, pe in parts) == q
+
+
+class TestOneFactorizer:
+    def test_walk_and_moment_sieve_their_moduli_once(self, monkeypatch):
+        # patched in expsums too, so factoring by coprime_residues is counted
+        windows, sieve = [], expsums.prime_power_parts
+
+        def counted(lo, hi):
+            windows.append((lo, hi))
+            return sieve(lo, hi)
+
+        monkeypatch.setattr(expsums, "prime_power_parts", counted)
+        monkeypatch.setattr(series, "prime_power_parts", counted)
+        for k, orders in ((3, [(9, 1), (8, 0)]), (4, [(20, 0)])):
+            windows.clear()
+            assert sum(1 for _ in series._walk(k, orders, 300)) == 300
+            assert windows == [(1, 301)]
+        for args in ((3072, 5120, 8, 0.0, 2), (1, 600, 6, 0.5, 3), (2.5, 99.2, 8, 0.3, 4)):
+            windows.clear()
+            series.power_moment_sum(*args)
+            assert windows == [(math.ceil(args[0]), math.ceil(args[1]))]
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocks_leave_the_factorizations_unchanged(self, monkeypatch, block):
+        whole = list(expsums.prime_power_parts(400, 700))
+        monkeypatch.setattr(expsums, "_BLOCK", block)
+        assert list(expsums.prime_power_parts(400, 700)) == whole
+
+    def test_window_starts_at_one(self):
+        with pytest.raises(ValueError):
+            next(expsums.prime_power_parts(0, 10))
+        assert list(expsums.prime_power_parts(5, 5)) == []
 
 
 class TestNegationIdentity:
