@@ -30,7 +30,9 @@ from . import __version__, arith, eulermac, expansion, expsums, oracle, series
 __all__ = ["build_parser", "run", "main"]
 
 ROWS_PER_WRITE = 4096  # rows formatted per write, which bounds the emitter's memory
-_INT64 = np.iinfo(np.int64)
+# The most values a list flag (--X, --Q) holds: each is one output row, and a
+# lo..hi range is measured before it is listed.
+MAX_LIST_VALUES = 2**16
 _FLOAT = "%.15g"  # the format of every float cell
 _LOG_MAX = math.log(sys.float_info.max)
 # The most lattice points em-verify's direct sums visit in one run, over all
@@ -97,27 +99,22 @@ def _emit(args, meta: dict, columns, blocks: Optional[Iterable[Sequence]] = None
             fh.write(("\n  ]" if written else "]") + tail + "\n")
 
 
-def _parse_int_list(text: str) -> List[int]:
-    """Accepts '2..5' (inclusive range) or '2,3,4' (comma list)."""
+def _parse_int_list(flag: str, text: str) -> List[int]:
+    """Accepts '2..5' (inclusive range) or '2,3,4' (comma list) of at
+    least one and at most MAX_LIST_VALUES values."""
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    values = [int(t) for t in text.split(",") if t]
-    if not values:
-        raise ValueError(f"empty list {text!r}")
-    return values
-
-
-def _check_int64_end(flag: str, value: int) -> None:
-    """Refuse an end of an n range that np.arange(lo, hi + 1) would wrap
-    as int64: the ends, and so the stop hi + 1, must be int64."""
-    if not _INT64.min <= value < _INT64.max:
-        raise ValueError(f"{flag} {value} is outside [{_INT64.min}, {_INT64.max - 1}], "
-                         "the ends an int64 n range can have")
+        lo, hi = (int(t) for t in text.split("..", 1))
+        values, count = range(lo, hi + 1), hi - lo + 1  # len() fails past sys.maxsize
+    else:
+        values = [int(t) for t in text.split(",") if t]
+        count = len(values)
+    if count < 1:
+        raise ValueError(f"{flag} {text!r} lists no values")
+    if count > MAX_LIST_VALUES:
+        raise ValueError(f"{flag} {text} lists {count} values, more than the "
+                         f"{MAX_LIST_VALUES} a list flag may hold")
+    return list(values)
 
 
 def _load_config(path: str) -> dict:
@@ -220,12 +217,10 @@ def _cmd_series(args) -> int:
         raise ValueError("range mode needs --n-min, --n-max and --Q")
     if args.n_max < args.n_min:
         raise ValueError(f"empty range --n-min {args.n_min} --n-max {args.n_max}")
-    _check_int64_end("--n-min", args.n_min)
-    _check_int64_end("--n-max", args.n_max)
-    ns = np.arange(args.n_min, args.n_max + 1, dtype=np.int64)
+    ns = range(args.n_min, args.n_max + 1)
     vals = series.series_over_range(args.k, args.s, args.j, ns, args.Q)
     meta.update(n_min=args.n_min, n_max=args.n_max)
-    _emit(args, meta, {"n": ns, "value_re": vals, "value_im": np.zeros(ns.size)})
+    _emit(args, meta, {"n": ns, "value_re": vals, "value_im": np.zeros(vals.size)})
     return 0
 
 
@@ -281,7 +276,7 @@ def _is_float(num: int, den: int = 1) -> bool:
 
 
 def _cmd_em_verify(args) -> int:
-    xs = _parse_int_list(args.X)
+    xs = _parse_int_list("--X", args.X)
     specs = [eulermac.LatticeSumSpec(args.q, args.r, x, args.theta, args.k, args.N)
              for x in xs]  # refuses a k of 2^63 or more
     q, r, k = args.q, args.r, args.k
@@ -333,7 +328,7 @@ def _cmd_em_verify(args) -> int:
 
 
 def _cmd_thm14(args) -> int:
-    qs = _parse_int_list(args.Q)
+    qs = _parse_int_list("--Q", args.Q)
     # n is printed in full; refuse one too long to print before Q! is built:
     # Q! has more than Q digits for Q >= 25 and a nonzero limit is >= 640,
     # so Q > limit is too long, and lgamma refuses a smaller Q far past it
@@ -366,8 +361,7 @@ def _cmd_thm14(args) -> int:
 def _cmd_thm15(args) -> int:
     if args.C is not None and not math.isfinite(args.C):
         raise ValueError(f"C must be finite, got {args.C}")
-    _check_int64_end("--x", args.x)
-    qs = _parse_int_list(args.Q)
+    qs = _parse_int_list("--Q", args.Q)
     mags = series.census_magnitudes(args.s, args.j, args.k, args.x, qs)
     threshold = float(np.median(mags[0])) / 2.0 if args.C is None else args.C
     counts = [int(np.count_nonzero(m >= threshold)) for m in mags]

@@ -102,12 +102,17 @@ def progression_power_sum(spec: LatticeSumSpec, variant: str = "two_sided") -> f
 
 
 def _gamma_ratio(theta: float, k: int, dims: int = 1) -> float:
-    """Gamma(1+theta) Gamma(1+1/k)^dims / Gamma(1+theta+dims/k)."""
-    return math.exp(
+    """Gamma(1+theta) Gamma(1+1/k)^dims / Gamma(1+theta+dims/k), refused
+    where the log-gamma difference is inf - inf (theta near 1e308)."""
+    ratio = math.exp(
         log_gamma(1.0 + theta)
         + dims * log_gamma(1.0 + 1.0 / k)
         - log_gamma(1.0 + theta + dims / k)
     )
+    if not math.isfinite(ratio):
+        raise ValueError(f"theta {theta} is too large: the gamma ratio of the main "
+                         "term is not finite")
+    return ratio
 
 
 def _check_order(N: int, theta: float, cap: float = math.inf) -> None:

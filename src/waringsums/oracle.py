@@ -273,13 +273,16 @@ class ResidualTable:
 
 def residual_prefactors(k: int, s: int, J: int, n_min: int, n_max: int,
                         Q: int) -> list[float]:
-    """coefficient_prefactors(s, J, k), once (k, s, J), the n range and the
-    walk to Q pass every check of residual_table that needs no table, so
-    that a caller can make them before it counts."""
+    """coefficient_prefactors(s, J, k), once (k, s, J), the n range, the
+    count table to n_max, the walk to Q and the size of its table pass
+    every check of residual_table that needs no table, so that a caller
+    can make them before it counts."""
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
+    _width_bits_for(k, s, n_max, False)  # what counting the table would refuse
     prefactors = _expansion.coefficient_prefactors(s, J, k)
-    _series._check_walk(k, [_expansion.series_order(k, s, j) for j in range(J + 1)], Q)
+    orders = [_expansion.series_order(k, s, j) for j in range(J + 1)]
+    _series._check_walk(k, orders, [Q], n_max - n_min + 1)
     return prefactors
 
 
@@ -297,11 +300,10 @@ def residual_table(counts: RepCountTable, J: int, n_min: int, n_max: int,
         raise ValueError(f"need an unsigned table covering n <= {n_max}")
     k, s = counts.k, counts.s
     prefactors = residual_prefactors(k, s, J, n_min, n_max, Q)
-    ns = np.arange(n_min, n_max + 1, dtype=np.int64)
     orders = [_expansion.series_order(k, s, j) for j in range(J + 1)]
-    coeffs = _series.series_over_range_orders(k, orders, ns, [Q])[0]
+    coeffs = _series.series_over_range_orders(k, orders, range(n_min, n_max + 1), [Q])[0]
     coeffs *= np.array(prefactors)[:, None]
-    return ResidualTable(ns, counts, coeffs)
+    return ResidualTable(np.arange(n_min, n_max + 1, dtype=np.int64), counts, coeffs)
 
 
 def write_binary(table: RepCountTable, path: str) -> None:

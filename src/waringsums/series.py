@@ -12,9 +12,9 @@ an exact test at the prime powers finds.  The scalar path takes specs
 sharing k and Q, forms each phase vector e(-na/q) once per distinct
 -n mod q, and adds each modulus's real parts to an expsums.ExactSum as
 it goes, keeping none of them: the value is math.fsum of all of them,
-bit for bit, however specs are grouped.  The range path serves a whole
-range of n: for each q the map n -> partial sum depends only on n mod
-q, so one length-q DFT of each row serves all.
+bit for bit, however specs are grouped.  The range path serves a run of
+consecutive n: for each q the map n -> partial sum depends only on n mod
+q, so one length-q DFT of each row serves all, added a period at a time.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expsums import (MAX_MODULUS, ExactSum, _units, batch_values, binned_dft, coset_sums,
-                      phases, power_residues, prime_power_parts)
+from .expsums import (ExactSum, _units, batch_values, binned_dft, coset_sums, phases,
+                      power_residues, prime_power_parts)
 
 __all__ = [
     "integer_kth_root",
@@ -43,6 +43,13 @@ __all__ = [
     "census_magnitudes",
     "nonvanishing_census",
 ]
+
+# The largest Q a walk visits; the cost grows about as Q^2, and the scalar
+# j = 1 walk at k = 3 took 0.10 s at Q = 1999 and 30 s here on one Xeon core.
+MAX_WALK_MODULUS = 2**15
+# The most float64 values a range walk's table and snapshots hold (2 GiB):
+# 10^7 rows (oracle.MAX_N) at up to 26 orders.
+MAX_TABLE_VALUES = 2**28
 
 
 def integer_kth_root(n: int, k: int) -> int:
@@ -83,11 +90,32 @@ def _check_orders(k: int, orders) -> None:
         _check_int64("s", s)
 
 
-def _check_walk(k: int, orders, Q: int) -> None:
-    """Reject, before any work, a walk over q <= Q that cannot be evaluated."""
+def _check_walk(k: int, orders, Qs: Sequence[int], rows: int = 0) -> None:
+    """Reject, before any work, a walk to each Q in Qs that cannot be
+    evaluated, or a range walk's table of more than MAX_TABLE_VALUES."""
     _check_orders(k, orders)
-    if not 1 <= Q <= MAX_MODULUS:
-        raise ValueError(f"need 1 <= Q <= {MAX_MODULUS}, got Q={Q}")
+    if not Qs:
+        raise ValueError("need at least one truncation Q")
+    for Q in Qs:
+        if not 1 <= Q <= MAX_WALK_MODULUS:
+            raise ValueError(f"need 1 <= Q <= {MAX_WALK_MODULUS}, the most moduli a walk "
+                             f"visits, got Q={Q}")
+    values = rows * len(orders) * len(set(Qs))
+    if values > MAX_TABLE_VALUES:
+        raise ValueError(f"{rows} values of n at {len(orders)} order(s) and {len(set(Qs))} "
+                         f"truncation(s) make {values} values, more than the "
+                         f"{MAX_TABLE_VALUES} a range walk holds")
+
+
+def _bounds(ns) -> tuple[int, int]:
+    """(first, count) of consecutive integers ns: a range of step 1 (never
+    measured by len(), which fails past sys.maxsize) or a sequence."""
+    if not (isinstance(ns, range) and ns.step == 1):
+        ns = np.asarray(ns)
+        if ns.ndim != 1 or (np.diff(ns) != 1).any():
+            raise ValueError("need consecutive n")
+        ns = range(int(ns[0]), int(ns[0]) + ns.size) if ns.size else range(0)
+    return ns.start, max(ns.stop - ns.start, 0)
 
 
 @dataclass(frozen=True)
@@ -179,7 +207,7 @@ def truncated_series(specs: Sequence[TruncationSpec]) -> list[SeriesValue]:
         raise ValueError("need at least one spec, all with the same k and Q")
     k, Q = specs[0].k, specs[0].Q
     orders = {(spec.s, spec.j) for spec in specs}
-    _check_walk(k, orders, Q)
+    _check_walk(k, orders, [Q])
     sums = [ExactSum() for _ in specs]
     count = 0
     for q, phi, a, rows in _walk(k, orders, Q):
@@ -203,39 +231,43 @@ def modified_series_truncated(spec: TruncationSpec) -> SeriesValue:
     return truncated_series([spec])[0]
 
 
-def series_over_range_orders(k: int, orders, ns: np.ndarray,
-                             Qs: Sequence[int]) -> list[np.ndarray]:
+def series_over_range_orders(k: int, orders, ns, Qs: Sequence[int]) -> list[np.ndarray]:
     """For each truncation Q in Qs, a float array whose row i holds the
-    series of orders[i] = (s, j) at every n in ns, all from one walk over
-    q <= max(Qs); the running sum is copied as it passes each Q below
-    the last.
+    series of orders[i] = (s, j) at every n in ns, consecutive integers
+    of any size (see _bounds), all from one walk over q <= max(Qs); the
+    running sum is copied as it passes each Q below the last.
 
     For each modulus the row w (zero off the coprime residues) satisfies
-    value_q(n) = DFT(w)[n mod q], so each order costs one DFT plus one
-    gather per q.  Rows are applied in increasing q; agreement with the
-    scalar path is at rounding level."""
-    if not Qs:
-        raise ValueError("need at least one truncation Q")
-    for Q in Qs:
-        _check_walk(k, orders, Q)
-    ns = np.asarray(ns)
-    out = np.zeros((len(orders),) + ns.shape)
+    value_q(n) = DFT(w)[n mod q], so each order costs one DFT per q, whose
+    real part is added to the table a period at a time: the first partial
+    period from ns[0] mod q (exact), every whole one through one view, and
+    the partial one left.  Rows are applied in increasing q; agreement
+    with the scalar path is at rounding level."""
+    start, size = _bounds(ns)
+    _check_walk(k, orders, Qs, size)
+    out = np.zeros((len(orders), size))
     stops, snapshots, top = set(Qs), {}, max(Qs)
     for q, _, a, rows in _walk(k, orders, top):
         if rows is not None:
-            idx = ns % q
+            # n = start + i is first + i mod q for i < head; whole periods
+            # of q follow from n = 0 mod q, and then a partial one
+            first, head = start % q, min(-start % q, size)
+            whole = head + (size - head) // q * q
             for total, order in zip(out, orders):
                 row = np.zeros(q, dtype=np.complex128)
                 row[a] = rows[order]
-                dft = np.fft.fft(row)  # dft[m] = sum_a w(a) e(-ma/q)
-                total += dft.real[idx]
+                dft = np.fft.fft(row).real  # dft[m] = sum_a w(a) e(-ma/q)
+                total[:head] += dft[first : first + head]
+                periods = total[head:whole].reshape(-1, q)  # a view of total
+                periods += dft
+                total[whole:] += dft[: size - whole]
         if q in stops:
             snapshots[q] = out.copy() if q < top else out
     return [snapshots[Q] for Q in Qs]
 
 
-def series_over_range(k: int, s: int, j: int, ns: np.ndarray, Q: int) -> np.ndarray:
-    """Truncated series values for every n in ns, at truncation Q."""
+def series_over_range(k: int, s: int, j: int, ns, Q: int) -> np.ndarray:
+    """Truncated series values for every n in ns, consecutive, at truncation Q."""
     return series_over_range_orders(k, [(s, j)], ns, [Q])[0][0]
 
 
@@ -327,8 +359,8 @@ def census_magnitudes(s: int, j: int, k: int, x: int, Qs: Sequence[int]) -> list
         raise ValueError("need x >= 1")
     if 2 * s < (j + 4) * (k + 2):
         raise ValueError(f"requires 2s >= (j+4)(k+2) = {(j + 4) * (k + 2)}")
-    ns = np.arange(1, x + 1, dtype=np.int64)
-    return [np.abs(rows[0]) for rows in series_over_range_orders(k, [(s, j)], ns, Qs)]
+    tables = series_over_range_orders(k, [(s, j)], range(1, x + 1), Qs)
+    return [np.abs(rows[0]) for rows in tables]
 
 
 def nonvanishing_census(

@@ -82,10 +82,18 @@ class TestParsing:
         assert out == "" and err.startswith("error: ") and bad.format(**paths) in err
 
     def test_int_list_forms(self):
-        assert cli._parse_int_list("2..5") == [2, 3, 4, 5]
-        assert cli._parse_int_list("10,20,30") == [10, 20, 30]
+        assert cli._parse_int_list("--Q", "2..5") == [2, 3, 4, 5]
+        assert cli._parse_int_list("--Q", "10,20,30") == [10, 20, 30]
         with pytest.raises(ValueError):
-            cli._parse_int_list("5..2")
+            cli._parse_int_list("--Q", "5..2")
+
+    def test_int_list_up_to_its_ceiling(self):
+        top = cli.MAX_LIST_VALUES
+        assert len(cli._parse_int_list("--X", f"{-top}..-1")) == top
+        with pytest.raises(ValueError, match=f"--X 1..{top + 1} lists {top + 1} values"):
+            cli._parse_int_list("--X", f"1..{top + 1}")
+        with pytest.raises(ValueError, match="--Q"):
+            cli._parse_int_list("--Q", ",".join(["7"] * (top + 1)))
 
 
 class TestExpsumCommand:
@@ -203,23 +211,20 @@ class TestWalkValidation:
         out, err = capsys.readouterr()
         assert out == "" and "error" in err
 
-    @pytest.mark.parametrize("argv, flag", [
-        ("series --k 3 --s 9 --n-min 9223372036854775800 --n-max 9223372036854775810 --Q 5",
-         "--n-max"),
-        ("series --k 3 --s 9 --n-min 9223372036854775808 --n-max 9223372036854775810 --Q 5",
-         "--n-min"),
-        ("series --k 3 --s 9 --n-min -9223372036854775809 --n-max 0 --Q 5", "--n-min"),
-        ("thm15 --k 3 --s 13 --j 1 --x 9223372036854775807 --Q 5", "--x"),
+    @pytest.mark.parametrize("lo, hi", [
+        (9223372036854775800, 9223372036854775810),
+        (9223372036854775808, 9223372036854775810),
+        (-9223372036854775812, -9223372036854775800),
     ])
-    def test_int64_wrapping_range_is_refused_naming_its_flag(self, monkeypatch, capsys,
-                                                             argv, flag):
-        def walked(*args):
-            raise AssertionError("the walk ran")
-
-        monkeypatch.setattr(series, "series_over_range_orders", walked)
-        assert cli.run(argv.split()) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"error: {flag} ")
+    def test_range_past_int64_agrees_with_point_mode(self, capsys, lo, hi):
+        assert cli.run(f"series --k 3 --s 9 --n-min {lo} --n-max {hi} --Q 5".split()) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[3:]]
+        assert [int(row[0]) for row in rows] == list(range(lo, hi + 1))
+        for i in (0, len(rows) // 2, len(rows) - 1):
+            assert cli.run(f"series --k 3 --s 9 --n {rows[i][0]} --Q 5".split()) == 0
+            point = capsys.readouterr().out.splitlines()[3].split(",")
+            assert point[0] == rows[i][0]
+            assert float(rows[i][1]) == pytest.approx(float(point[1]), abs=1e-13)
 
     @pytest.mark.parametrize("argv, named", [
         ("expansion --k 0 --s 13 --J 2 --n 5 --Q 10", "error: k must be >= 2, got 0"),
@@ -237,13 +242,35 @@ class TestWalkValidation:
                      "error: requires 2s >= ", id="thm15 --k 2**63-1"),
         pytest.param(f"thm14 --k {10**400 + 1} --s 8 --Q 3 --trunc 10",
                      "error: requires 2s >= ", id="thm14 --k 10**400+1"),
+        # tables past series.MAX_TABLE_VALUES, lists past cli.MAX_LIST_VALUES,
+        # a walk past series.MAX_WALK_MODULUS and a main term that is nan
+        ("series --k 3 --s 9 --n-min 0 --n-max 10000000000 --Q 5",
+         "error: 10000000001 values of n at 1 order(s) and 1 truncation(s)"),
+        ("thm15 --k 3 --s 13 --j 1 --x 10000000000 --Q 5",
+         "error: 10000000000 values of n at 1 order(s) and 1 truncation(s)"),
+        ("thm15 --k 3 --s 13 --j 1 --x 9223372036854775807 --Q 5",
+         "error: 9223372036854775807 values of n at 1 order(s)"),
+        ("series --k 3 --s 9 --n-min -9223372036854775809 --n-max 0 --Q 5",
+         "error: 9223372036854775810 values of n at 1 order(s)"),
+        ("em-verify --k 2 --theta 1.5 --q 11 --r 1 --X 1..1000000000",
+         "error: --X 1..1000000000 lists 1000000000 values, more than the 65536"),
+        ("thm14 --k 3 --s 8 --Q 1..100000000 --trunc 10",
+         "error: --Q 1..100000000 lists 100000000 values, more than the 65536"),
+        ("thm15 --k 3 --s 13 --j 1 --x 100 --Q 1..1000000000",
+         "error: --Q 1..1000000000 lists 1000000000 values, more than the 65536"),
+        ("series --k 3 --s 9 --n 1 --Q 3037000500",
+         "error: need 1 <= Q <= 32768, the most moduli a walk visits"),
+        ("em-verify --k 2 --theta 1e308 --q 2 --r 0 --N 100 --X 1",
+         "error: theta 1e+308 is too large: the gamma ratio"),
     ])
     def test_refused_before_any_work_naming_its_flag(self, monkeypatch, capsys, argv, named):
-        def work(*args):
+        def work(*args, **kwargs):
             raise AssertionError("the work began")
 
         monkeypatch.setattr(series, "_walk", work)
         monkeypatch.setattr(eulermac, "progression_power_sum", work)
+        monkeypatch.setattr(eulermac, "lattice_power_sum", work)
+        monkeypatch.setattr(np, "zeros", work)  # the range walk's table
         assert cli.run(argv.split()) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(named)
@@ -346,12 +373,40 @@ BOUNDARY_BASES = {
 }
 BOUNDARY_VALUES = {"0": 0, "-1": -1, "2**63-1": 2**63 - 1, "2**63": 2**63,
                    "10**400": 10**400}
+# Beyond those integers: nan and inf for the float flags, each --variant,
+# and for the list flags an empty, a reversed and a wide list, and lists
+# that hold boundary values.  A flag not in the base command is appended.
+BOUNDARY_LISTS = [",", "5..1", f"1..{2**63}", f"1..{10**400}", "0,1", "3,-1",
+                  f"3,{2**63 - 1}", f"3,{10**400}", "2..4", "4,2,4"]
+BOUNDARY_EXTRAS = {
+    ("em-verify", "--theta"): ["nan", "inf"],
+    ("thm15", "--C"): ["nan", "inf", "0", "-1"],
+    ("em-verify", "--variant"): list(eulermac.VARIANTS),
+    ("em-verify", "--X"): BOUNDARY_LISTS,
+    ("thm14", "--Q"): BOUNDARY_LISTS,
+    ("thm15", "--Q"): BOUNDARY_LISTS,
+}
+
+
+def _set_flag(argv: str, flag: str, value: str) -> list:
+    words = argv.split()
+    if flag not in words:
+        return words + [flag, value]
+    i = words.index(flag)
+    return words[: i + 1] + [value] + words[i + 2 :]
+
+
 BOUNDARY_CASES = [
     pytest.param(words[: i + 1] + [str(value)] + words[i + 2 :],
                  id=f"{base} {words[i]} {name}")
     for base, words in ((base, argv.split()) for base, argv in BOUNDARY_BASES.items())
     for i in range(1, len(words), 2)
     for name, value in BOUNDARY_VALUES.items()
+] + [
+    pytest.param(_set_flag(BOUNDARY_BASES[base], flag, value),
+                 id=f"{base} {flag} {value[:30]}")
+    for (base, flag), values in BOUNDARY_EXTRAS.items()
+    for value in values
 ]
 
 

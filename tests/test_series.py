@@ -179,13 +179,67 @@ class TestSeriesOverRange:
                 assert bulk[n - 1] == pytest.approx(scalar, rel=1e-10, abs=1e-10)
 
     def test_handles_negative_n(self):
-        ns = np.array([-7, -1, 3], dtype=np.int64)
+        ns = range(-7, 4)
         bulk = series.series_over_range(3, 9, 1, ns, 20)
-        for i, n in enumerate(ns):
+        for n in (-7, -1, 3):
             scalar = series.modified_series_truncated(
-                TruncationSpec(3, 9, int(n), j=1, Q=20)
+                TruncationSpec(3, 9, n, j=1, Q=20)
             ).value
-            assert bulk[i] == pytest.approx(scalar, rel=1e-10, abs=1e-10)
+            assert bulk[ns.index(n)] == pytest.approx(scalar, rel=1e-10, abs=1e-10)
+
+    def test_each_value_depends_on_n_alone(self):
+        # the period added at q starts at ns[0] mod q, so a sub-range and a
+        # one-element array give the same bits as the range around them
+        orders = [(9, 0), (13, 1)]
+        wide, = series.series_over_range_orders(3, orders, range(-30, 300), [45])
+        for lo, hi in ((-20, 20), (0, 45), (7, 8), (100, 300)):
+            rows, = series.series_over_range_orders(3, orders, range(lo, hi), [45])
+            assert np.array_equal(rows, wide[:, lo + 30 : hi + 30])
+        for n in (-30, 44, 299):
+            rows, = series.series_over_range_orders(3, orders, np.array([n]), [45])
+            assert np.array_equal(rows[:, 0], wide[:, n + 30])
+
+    def test_n_past_int64_agrees_with_the_scalar_path(self):
+        for lo in (2**63 - 5, 2**64 + 17, -(2**63) - 50, -(10**30)):
+            ns = range(lo, lo + 60)
+            bulk = series.series_over_range(3, 9, 1, ns, 30)
+            for i in (0, 29, 59):
+                scalar = series.modified_series_truncated(
+                    TruncationSpec(3, 9, ns[i], j=1, Q=30)).value
+                assert bulk[i] == pytest.approx(scalar, rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("ns", [range(1, 20, 2), range(5, 1, -1), np.array([1, 2, 4]),
+                                    [3, 2], np.arange(6).reshape(2, 3)])
+    def test_n_that_are_not_consecutive_are_refused(self, ns):
+        with pytest.raises(ValueError, match="consecutive"):
+            series.series_over_range(3, 9, 1, ns, 10)
+
+    def test_empty_range_gives_empty_rows(self):
+        for ns in (range(5, 5), range(5, 2), np.array([], dtype=np.int64)):
+            rows, = series.series_over_range_orders(3, [(9, 1)], ns, [10])
+            assert rows.shape == (1, 0)
+
+    def test_table_ceiling_counts_rows_orders_and_distinct_truncations(self, monkeypatch):
+        def walked(*args):
+            raise AssertionError("the walk ran")
+
+        monkeypatch.setattr(series, "MAX_TABLE_VALUES", 12)
+        # 3 rows x 2 orders x 2 distinct Q = 12 values fit
+        rows = series.series_over_range_orders(3, [(9, 0), (9, 1)], range(3), [5, 7, 5])
+        assert [r.shape for r in rows] == [(2, 3)] * 3
+        monkeypatch.setattr(series, "_walk", walked)
+        for ns, Qs in ((range(4), [5, 7]), (range(3), [5, 6, 7]),
+                       (range(2**70), [5]), (range(-(2**65), 2**65), [5])):
+            # no len() of a range past sys.maxsize: the refusal is a ValueError
+            with pytest.raises(ValueError, match="a range walk holds"):
+                series.series_over_range_orders(3, [(9, 0), (9, 1)], ns, Qs)
+
+    def test_walk_ceiling(self):
+        top = series.MAX_WALK_MODULUS
+        series._check_walk(3, [(9, 1)], [top])
+        for Q in (top + 1, 3_037_000_500):
+            with pytest.raises(ValueError, match=f"need 1 <= Q <= {top}"):
+                series.truncated_series([TruncationSpec(3, 9, 1, j=1, Q=Q)])
 
 
 class TestOneWalk:
@@ -307,12 +361,13 @@ class TestVanishingModuli:
             assert val.term_count == totient_sum(Q)
 
     def test_values_against_double_loop_with_vanishing_moduli(self):
-        ns = np.array([-7, 0, 6, 23, 100], dtype=np.int64)
+        ns = range(-7, 101)
         for s, j in ((9, 0), (9, 1), (10, 2)):
             # Q = 22 = 2 * 11 vanishes for k = 3, Q = 25 does not
             ranged = series.series_over_range_orders(3, [(s, j)], ns, [22, 25])
             for Q, rows in zip((22, 25), ranged):
-                for n, got in zip(ns.tolist(), rows[0]):
+                for n in (-7, 0, 6, 23, 100):
+                    got = rows[0][ns.index(n)]
                     want = direct_modified_series(3, s, j, n, Q)
                     val, = series.truncated_series([TruncationSpec(3, s, n, j=j, Q=Q)])
                     assert val.value == pytest.approx(want, abs=1e-12)
