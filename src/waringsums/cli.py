@@ -160,10 +160,13 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     return parser.parse_args(argv)
 
 
-def _cached_table(k: int, s: int, N: int, cache_dir: Optional[str]) -> oracle.RepCountTable:
+def _cached_table(k: int, s: int, N: int, signed: bool,
+                  cache_dir: Optional[str]) -> oracle.RepCountTable:
+    count = oracle.count_representations_signed if signed else oracle.count_representations
     if not cache_dir:
-        return oracle.count_representations(k, s, N)
-    path = Path(cache_dir) / f"wrc_k{k}_s{s}_N{N}_unsigned.bin"
+        return count(k, s, N)
+    oracle._width_bits_for(k, s, N, signed)  # what counting refuses, before any directory
+    path = Path(cache_dir) / f"wrc_k{k}_s{s}_N{N}_{'signed' if signed else 'unsigned'}.bin"
     path.parent.mkdir(parents=True, exist_ok=True)  # a bad directory fails before any count
     if path.exists():
         try:
@@ -172,9 +175,9 @@ def _cached_table(k: int, s: int, N: int, cache_dir: Optional[str]) -> oracle.Re
             print(f"note: cache file {path} is unreadable ({exc}); recomputing",
                   file=sys.stderr)
         else:
-            if (table.k, table.s, table.N, table.signed) == (k, s, N, False):
+            if (table.k, table.s, table.N, table.signed) == (k, s, N, signed):
                 return table
-    table = oracle.count_representations(k, s, N)
+    table = count(k, s, N)
     # A temporary file renamed into place: readers never see a partial table.
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -238,10 +241,7 @@ def _cmd_expansion(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.signed:
-        table = oracle.count_representations_signed(args.k, args.s, args.n_max)
-    else:
-        table = _cached_table(args.k, args.s, args.n_max, args.cache_dir)
+    table = _cached_table(args.k, args.s, args.n_max, args.signed, args.cache_dir)
     if args.binary_out:
         oracle.write_binary(table, args.binary_out)
     meta = {"subcommand": "oracle", "k": args.k, "s": args.s, "n_max": args.n_max,
@@ -253,7 +253,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_residuals(args) -> int:
     # refuse what residual_table would refuse before the table is counted
     oracle.residual_prefactors(args.k, args.s, args.J, args.n_min, args.n_max, args.Q)
-    table = _cached_table(args.k, args.s, args.n_max, args.cache_dir)
+    table = _cached_table(args.k, args.s, args.n_max, False, args.cache_dir)
     res = oracle.residual_table(table, args.J, args.n_min, args.n_max, args.Q)
     meta = {"subcommand": "residuals", "k": args.k, "s": args.s, "J": args.J,
             "n_min": args.n_min, "n_max": args.n_max, "Q": args.Q}

@@ -29,7 +29,7 @@ import numpy as np
 
 from .arith import log_gamma, periodic_bernoulli
 from .expsums import ExactSum
-from .series import _check_int64, integer_kth_root
+from .series import _check_orders, integer_kth_root
 
 __all__ = [
     "LatticeSumSpec",
@@ -64,9 +64,7 @@ class LatticeSumSpec:
     def __post_init__(self):
         if self.q < 1:
             raise ValueError("q must be >= 1")
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
-        _check_int64("k", self.k)  # numpy raises an int64 block to the power k
+        _check_orders(self.k, ())  # numpy raises an int64 block to the power k
         if not self.X > 0:
             raise ValueError("X must be positive")
         if not (math.isfinite(self.theta) and self.theta >= 0):
@@ -102,17 +100,16 @@ def progression_power_sum(spec: LatticeSumSpec, variant: str = "two_sided") -> f
 
 
 def _gamma_ratio(theta: float, k: int, dims: int = 1) -> float:
-    """Gamma(1+theta) Gamma(1+1/k)^dims / Gamma(1+theta+dims/k), refused
-    where the log-gamma difference is inf - inf (theta near 1e308)."""
-    ratio = math.exp(
-        log_gamma(1.0 + theta)
-        + dims * log_gamma(1.0 + 1.0 / k)
-        - log_gamma(1.0 + theta + dims / k)
-    )
-    if not math.isfinite(ratio):
+    """Gamma(1+theta) Gamma(1+1/k)^dims / Gamma(1+theta+dims/k), from the
+    difference of two log-gammas near theta log theta.  Each is rounded
+    to about an ulp of its size, and the ratio's relative error is the
+    difference's absolute error, so a theta at which that passes 1e-9
+    (theta above about 2e5, or inf - inf near 1e308) is refused."""
+    lo, hi = log_gamma(1.0 + theta), log_gamma(1.0 + theta + dims / k)
+    if not math.ulp(1.0) * (abs(lo) + abs(hi)) <= 1e-9:
         raise ValueError(f"theta {theta} is too large: the gamma ratio of the main "
-                         "term is not finite")
-    return ratio
+                         "term would be accurate to less than 1e-9")
+    return math.exp(lo + dims * log_gamma(1.0 + 1.0 / k) - hi)
 
 
 def _check_order(N: int, theta: float, cap: float = math.inf) -> None:

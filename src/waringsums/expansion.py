@@ -18,7 +18,7 @@ from typing import Literal
 import numpy as np
 
 from .arith import log_gamma
-from .series import TruncationSpec, _check_int64, truncated_series
+from .series import TruncationSpec, _check_int64, _check_orders, truncated_series
 
 __all__ = [
     "ExpansionCoefficients",
@@ -49,8 +49,7 @@ def gamma_factor(s: int, j: int, k: int) -> float:
     u = s - j
     if u < 1:
         raise ValueError(f"requires s - j >= 1, got {u}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    _check_orders(k, ())
     return math.exp(u * log_gamma(1.0 + 1.0 / k) - log_gamma(u / k))
 
 
@@ -72,10 +71,8 @@ def coefficient_prefactors(s: int, J: int, k: int) -> list[float]:
     Validates every structural requirement on (s, J, k), so callers
     assembling coefficients elsewhere inherit the same guards.
     """
-    if k < 2:  # first: the checks below divide by k
-        raise ValueError(f"k must be >= 2, got {k}")
-    _check_int64("k", k)  # and the gamma factors divide by k and s as floats
-    _check_int64("s", s)
+    _check_orders(k, ())  # first: the checks below divide by k
+    _check_int64("s", s)  # the gamma factors divide by k and s as floats
     if J < 0:
         raise ValueError("J must be >= 0")
     if s - J < 1:
@@ -107,8 +104,6 @@ def coefficient_prefactors(s: int, J: int, k: int) -> list[float]:
 def _coefficients(s: int, J: int, n: int, k: int, Q: int) -> ExpansionCoefficients:
     if n < 1:
         raise ValueError("n must be >= 1")
-    if Q < 1:
-        raise ValueError("Q must be >= 1")
     prefactors = coefficient_prefactors(s, J, k)
     orders = [series_order(k, s, j) for j in range(J + 1)]
     values = truncated_series([TruncationSpec(k, u, n, j=o, Q=Q) for u, o in orders])

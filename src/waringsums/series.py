@@ -47,9 +47,16 @@ __all__ = [
 # The largest Q a walk visits; the cost grows about as Q^2, and the scalar
 # j = 1 walk at k = 3 took 0.10 s at Q = 1999 and 30 s here on one Xeon core.
 MAX_WALK_MODULUS = 2**15
+# The most terms, specs x Q(Q+1)/2, a scalar walk adds: one spec to
+# MAX_WALK_MODULUS fits, and the 2000 specs of thm14 --Q 1..1000 --trunc
+# 1035 took 6.3 s on that core.
+MAX_WALK_TERMS = 2**30
 # The most float64 values a range walk's table and snapshots hold (2 GiB):
 # 10^7 rows (oracle.MAX_N) at up to 26 orders.
 MAX_TABLE_VALUES = 2**28
+# The most additions, rows x orders x max(Qs), a range walk makes into its
+# table: 2^22 rows to Q = 8192 took 6.8 s on that core.
+MAX_RANGE_CELLS = 2**35
 
 
 def integer_kth_root(n: int, k: int) -> int:
@@ -90,9 +97,10 @@ def _check_orders(k: int, orders) -> None:
         _check_int64("s", s)
 
 
-def _check_walk(k: int, orders, Qs: Sequence[int], rows: int = 0) -> None:
+def _check_walk(k: int, orders, Qs: Sequence[int], rows: int = 0, specs: int = 0) -> None:
     """Reject, before any work, a walk to each Q in Qs that cannot be
-    evaluated, or a range walk's table of more than MAX_TABLE_VALUES."""
+    evaluated: a range walk of rows values of n past MAX_TABLE_VALUES or
+    MAX_RANGE_CELLS, or a scalar walk of specs past MAX_WALK_TERMS."""
     _check_orders(k, orders)
     if not Qs:
         raise ValueError("need at least one truncation Q")
@@ -105,6 +113,16 @@ def _check_walk(k: int, orders, Qs: Sequence[int], rows: int = 0) -> None:
         raise ValueError(f"{rows} values of n at {len(orders)} order(s) and {len(set(Qs))} "
                          f"truncation(s) make {values} values, more than the "
                          f"{MAX_TABLE_VALUES} a range walk holds")
+    top = max(Qs)
+    cells = rows * len(orders) * top
+    if cells > MAX_RANGE_CELLS:
+        raise ValueError(f"{rows} values of n at {len(orders)} order(s) to Q={top} make "
+                         f"{cells} additions, more than the {MAX_RANGE_CELLS} a range "
+                         "walk makes")
+    terms = specs * (top * (top + 1) // 2)
+    if terms > MAX_WALK_TERMS:
+        raise ValueError(f"{specs} series to Q={top} make up to {terms} terms, more than "
+                         f"the {MAX_WALK_TERMS} a scalar walk adds")
 
 
 def _bounds(ns) -> tuple[int, int]:
@@ -207,7 +225,7 @@ def truncated_series(specs: Sequence[TruncationSpec]) -> list[SeriesValue]:
         raise ValueError("need at least one spec, all with the same k and Q")
     k, Q = specs[0].k, specs[0].Q
     orders = {(spec.s, spec.j) for spec in specs}
-    _check_walk(k, orders, [Q])
+    _check_walk(k, orders, [Q], specs=len(specs))
     sums = [ExactSum() for _ in specs]
     count = 0
     for q, phi, a, rows in _walk(k, orders, Q):

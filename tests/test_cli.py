@@ -49,7 +49,10 @@ class TestParsing:
         (["expsum", "--k", "3", "--q", "5", "--config", "{dir}"], "{dir}"),
         (["expsum", "--k", "3", "--q", "5", "-o", "{file}/x"], "{file}/x"),
         (["oracle", "--k", "2", "--s", "2", "--n-max", "20", "--cache-dir", "{file}"], "{file}"),
-    ], ids=["-o dir", "--binary-out dir", "--config dir", "-o file/x", "--cache-dir file"])
+        (["oracle", "--k", "2", "--s", "2", "--n-max", "20", "--signed", "--cache-dir",
+          "{file}"], "{file}"),
+    ], ids=["-o dir", "--binary-out dir", "--config dir", "-o file/x", "--cache-dir file",
+            "--signed --cache-dir file"])
     def test_path_naming_the_wrong_kind_of_entry_exits_2(self, tmp_path, capsys, argv, bad):
         paths = {"dir": tmp_path / "d", "file": tmp_path / "f"}
         paths["dir"].mkdir()
@@ -64,6 +67,7 @@ class TestParsing:
         ("oracle --k 2 --s 9 --n-max 200000 --binary-out {dir}", "{dir}"),
         ("oracle --k 2 --s 9 --n-max 200000 --binary-out {file}/x", "{file}/x"),
         ("oracle --k 2 --s 9 --n-max 200000 --cache-dir {file}", "{file}"),
+        ("oracle --k 2 --s 9 --n-max 200000 --signed --cache-dir {file}", "{file}"),
         ("residuals --k 3 --s 13 --J 2 --n-max 3000 --Q 60 --cache-dir {file}", "{file}"),
         ("residuals --k 3 --s 13 --J 2 --n-max 3000 --Q 60 -o {dir}", "{dir}"),
     ])
@@ -262,12 +266,25 @@ class TestWalkValidation:
          "error: need 1 <= Q <= 32768, the most moduli a walk visits"),
         ("em-verify --k 2 --theta 1e308 --q 2 --r 0 --N 100 --X 1",
          "error: theta 1e+308 is too large: the gamma ratio"),
+        # walks past series.MAX_WALK_TERMS and series.MAX_RANGE_CELLS, and
+        # main terms whose gamma ratio keeps less than 1e-9 relative accuracy
+        ("thm14 --k 3 --s 8 --Q 1..1500 --trunc 32768",
+         "error: 3000 series to Q=32768 make up to 1610661888000 terms, more than the "
+         "1073741824"),
+        ("series --k 3 --s 9 --j 0 --n-min 0 --n-max 67108863 --Q 32768",
+         "error: 67108864 values of n at 1 order(s) to Q=32768 make 2199023255552 "
+         "additions, more than the 34359738368"),
+        ("em-verify --k 2 --theta 1e14 --q 2 --r 0 --X 1",
+         "error: theta 100000000000000.0 is too large: the gamma ratio"),
+        ("em-verify --k 2 --theta 1e16 --q 2 --r 0 --X 1",
+         "error: theta 1e+16 is too large: the gamma ratio"),
     ])
     def test_refused_before_any_work_naming_its_flag(self, monkeypatch, capsys, argv, named):
         def work(*args, **kwargs):
             raise AssertionError("the work began")
 
         monkeypatch.setattr(series, "_walk", work)
+        monkeypatch.setattr(oracle, "_build_table", work)
         monkeypatch.setattr(eulermac, "progression_power_sum", work)
         monkeypatch.setattr(eulermac, "lattice_power_sum", work)
         monkeypatch.setattr(np, "zeros", work)  # the range walk's table
@@ -578,6 +595,51 @@ class TestOracleCommand:
         assert any(p.suffix == ".bin" for p in cache.iterdir())
         _, second = run_to_file(tmp_path, args, "b.csv")
         assert first == second
+
+    def test_signed_cache_round_trip(self, tmp_path, monkeypatch, capsys):
+        argv = "oracle --k 2 --s 3 --n-max 50 --signed".split()
+        assert cli.run(argv) == 0
+        uncached = capsys.readouterr().out
+        cached = argv + ["--cache-dir", str(tmp_path / "cache")]
+        assert cli.run(cached) == 0
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == ["wrc_k2_s3_N50_signed.bin"]
+
+        def count(*args):
+            raise AssertionError("the table was counted")
+
+        monkeypatch.setattr(oracle, "count_representations", count)
+        monkeypatch.setattr(oracle, "count_representations_signed", count)
+        capsys.readouterr()
+        assert cli.run(cached) == 0
+        assert capsys.readouterr().out == uncached
+
+    def test_cached_table_of_the_other_sign_is_counted_again(self, tmp_path, capsys):
+        base = "oracle --k 2 --s 3 --n-max 50".split()
+        outputs = []
+        for signed in ([], ["--signed"]):
+            assert cli.run(base + signed) == 0
+            outputs.append(capsys.readouterr().out)
+        cache = tmp_path / "cache"
+        assert cli.run(base + ["--cache-dir", str(cache)]) == 0
+        unsigned = cache / "wrc_k2_s3_N50_unsigned.bin"
+        unsigned.rename(cache / "wrc_k2_s3_N50_signed.bin")  # a table under the wrong sign
+        for signed, want in zip(([], ["--signed"]), outputs):
+            capsys.readouterr()
+            assert cli.run(base + signed + ["--cache-dir", str(cache)]) == 0
+            assert capsys.readouterr().out == want
+        assert oracle.read_binary(str(cache / "wrc_k2_s3_N50_signed.bin")).signed
+
+    @pytest.mark.parametrize("flags", [
+        "--k 1 --s 4 --n-max 10",
+        "--k 2 --s 0 --n-max 10",
+        "--k 2 --s 4 --n-max 0",
+        "--k 3 --s 4 --n-max 10 --signed",
+    ])
+    def test_refused_table_makes_no_cache_directory(self, tmp_path, capsys, flags):
+        new = tmp_path / "new"
+        assert cli.run(f"oracle {flags} --cache-dir {new / 'sub'}".split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and not new.exists()
 
     def test_corrupt_cache_is_recomputed(self, tmp_path, capsys):
         cache = tmp_path / "cache"

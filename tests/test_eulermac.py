@@ -405,6 +405,19 @@ class TestLatticeSums:
         )
         assert terms[0] == pytest.approx(X ** (k * theta) * (X / q) ** l * ratio, rel=1e-12)
 
+    def test_gamma_ratio_holds_to_1e9_or_is_refused(self):
+        # at k = 2 and two dimensions the ratio is Gamma(3/2)^2 / (1 + theta)
+        for theta in (0.0, 1.5, 255.5, 1e3, 1e5, 2e5):
+            exact = math.pi / 4 / (1 + theta)
+            assert eulermac._gamma_ratio(theta, 2, 2) == pytest.approx(exact, rel=1e-9)
+        for theta in (3e5, 1e14, 1e16, 1e308):
+            spec = LatticeSumSpec(2, (0,), 1, theta, 2)
+            for dims in (0, 1, 2):
+                with pytest.raises(ValueError, match=r"is too large: the gamma ratio"):
+                    eulermac._gamma_ratio(theta, 2, dims)
+            with pytest.raises(ValueError, match=r"is too large: the gamma ratio"):
+                eulermac.lattice_power_sum_asymptotic(spec)
+
     def test_order_cap_for_positive_variant(self):
         with pytest.raises(ValueError):
             eulermac.lattice_power_sum_asymptotic(

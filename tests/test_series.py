@@ -234,6 +234,23 @@ class TestSeriesOverRange:
             with pytest.raises(ValueError, match="a range walk holds"):
                 series.series_over_range_orders(3, [(9, 0), (9, 1)], ns, Qs)
 
+    def test_work_ceilings_count_additions_and_terms(self, monkeypatch):
+        def walked(*args):
+            raise AssertionError("the walk ran")
+
+        monkeypatch.setattr(series, "MAX_RANGE_CELLS", 42)
+        monkeypatch.setattr(series, "MAX_WALK_TERMS", 30)
+        # 3 rows x 2 orders to Q = 7 make 42 additions; 3 specs to Q = 4, 30 terms
+        series.series_over_range_orders(3, [(9, 0), (9, 1)], range(3), [5, 7])
+        series.truncated_series([TruncationSpec(3, 9, n, j=1, Q=4) for n in (1, 2, 3)])
+        monkeypatch.setattr(series, "_walk", walked)
+        with pytest.raises(ValueError, match="4 values of n at 2 order.s. to Q=7 make 56 "):
+            series.series_over_range_orders(3, [(9, 0), (9, 1)], range(4), [5, 7])
+        for specs, Q, terms in ((4, 4, 40), (3, 5, 45)):
+            with pytest.raises(ValueError, match=f"{specs} series to Q={Q} make up to {terms} "):
+                series.truncated_series([TruncationSpec(3, 9, n, j=1, Q=Q)
+                                         for n in range(specs)])
+
     def test_walk_ceiling(self):
         top = series.MAX_WALK_MODULUS
         series._check_walk(3, [(9, 1)], [top])
