@@ -26,18 +26,13 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__, arith, eulermac, expansion, expsums, oracle, series
+from .budget import Part, check
 
 __all__ = ["build_parser", "run", "main"]
 
 ROWS_PER_WRITE = 4096  # rows formatted per write, which bounds the emitter's memory
-# The most values a list flag (--X, --Q) holds: each is one output row, and a
-# lo..hi range is measured before it is listed.
-MAX_LIST_VALUES = 2**16
 _FLOAT = "%.15g"  # the format of every float cell
 _LOG_MAX = math.log(sys.float_info.max)
-# The most lattice points em-verify's direct sums visit in one run, over all
-# listed X: about 20-30 s at the 20 ns a point they take on one Xeon core.
-MAX_DIRECT_POINTS = 2**30
 
 
 # ----------------------------- plumbing -----------------------------------
@@ -101,20 +96,18 @@ def _emit(args, meta: dict, columns, blocks: Optional[Iterable[Sequence]] = None
 
 def _parse_int_list(flag: str, text: str) -> List[int]:
     """Accepts '2..5' (inclusive range) or '2,3,4' (comma list) of at
-    least one and at most MAX_LIST_VALUES values."""
+    least one value, each charged to the budget before the list is built."""
     text = text.strip()
     if ".." in text:
         lo, hi = (int(t) for t in text.split("..", 1))
         values, count = range(lo, hi + 1), hi - lo + 1  # len() fails past sys.maxsize
     else:
-        values = [int(t) for t in text.split(",") if t]
+        values = [t for t in text.split(",") if t]
         count = len(values)
     if count < 1:
         raise ValueError(f"{flag} {text!r} lists no values")
-    if count > MAX_LIST_VALUES:
-        raise ValueError(f"{flag} {text} lists {count} values, more than the "
-                         f"{MAX_LIST_VALUES} a list flag may hold")
-    return list(values)
+    check(Part("list values", count, f"{flag} {text} lists {count} values"))
+    return [int(t) for t in values]
 
 
 def _load_config(path: str) -> dict:
@@ -193,6 +186,8 @@ def _cached_table(k: int, s: int, N: int, signed: bool,
 
 def _cmd_expsum(args) -> int:
     meta = {"subcommand": "expsum", "k": args.k, "q": args.q, "a": args.a}
+    check(Part("expsum residues" if args.a is None else "expsum point residues", args.q,
+               f"--q {args.q}"))
     if args.a is not None:
         a = [args.a]
         svals = np.array([expsums.complete_sum(args.q, args.a, args.k)])
@@ -307,9 +302,8 @@ def _cmd_em_verify(args) -> int:
                 x**k + (max(-first, 0) ** k if k % 2 else 0)):
             raise ValueError(f"--X {x} at --k {k} gives a base X^k - x^k that passes "
                              "the largest float")
-    if points > MAX_DIRECT_POINTS:
-        raise ValueError(f"--X {args.X} at --q {q} gives the direct sums {points} lattice "
-                         f"points, more than the {MAX_DIRECT_POINTS} one run may visit")
+    check(Part("lattice points at theta 3/2" if args.theta == 1.5 else "lattice points",
+               points, f"--X {args.X} at --q {q}: {points} lattice points"))
     # the asymptotics refuse the positive variant at even k, so they run first
     asymptotics = [eulermac.progression_power_sum_asymptotic(spec, args.variant)
                    for spec in specs]
@@ -333,6 +327,7 @@ def _cmd_thm14(args) -> int:
     # Q! has more than Q digits for Q >= 25 and a nonzero limit is >= 640,
     # so Q > limit is too long, and lgamma refuses a smaller Q far past it
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    too_many = 10**limit  # the least n of more than limit digits, formed once
 
     def too_long(Q: int) -> ValueError:
         return ValueError(f"n = Q!*m at Q={Q}, m={args.m} has more than {limit} "
@@ -348,7 +343,7 @@ def _cmd_thm14(args) -> int:
                       + math.log10(args.m) > limit + 1):
             raise too_long(Q)
         n = math.factorial(Q) * args.m
-        if limit and n >= 10**limit:
+        if limit and n >= too_many:
             raise too_long(Q)
         ns.append(n)
     disc = series.factorial_multiple_discrepancy(args.s, args.k, qs, args.m, args.trunc)
@@ -485,13 +480,19 @@ def _cmd_selftest(args) -> int:
 
 # ----------------------------- parser --------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _command(subs, name: str, help: str, handler, ints: Sequence[str] = ()):
+    """A sub-command's parser: the int flags ints, required, then -o, --json, --config."""
+    sub = subs.add_parser(name, help=help)
+    sub.set_defaults(handler=handler)
+    for flag in ints:
+        sub.add_argument(flag, type=int, required=True)
     sub.add_argument("-o", "--output", default="-",
                      help="output path, '-' for stdout (default)")
     sub.add_argument("--json", action="store_true",
                      help="emit a JSON mirror instead of CSV")
     sub.add_argument("--config", default=None,
                      help="key=value file supplying defaults; flags win")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -504,98 +505,54 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"waringsums {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = subs.add_parser("expsum", help="complete/weighted exponential sums")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p = _command(subs, "expsum", "complete/weighted exponential sums", _cmd_expsum,
+                 ["--k", "--q"])
     p.add_argument("--a", type=int, default=None,
                    help="single numerator; all residues when omitted")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_expsum)
 
-    p = subs.add_parser("series", help="truncated (modified) singular series")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p = _command(subs, "series", "truncated (modified) singular series", _cmd_series,
+                 ["--k", "--s"])
     p.add_argument("--j", type=int, default=0)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--n-min", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None)
+    for flag in ("--n", "--n-min", "--n-max"):
+        p.add_argument(flag, type=int, default=None)
     p.add_argument("--Q", type=int, default=None,
                    help="truncation level; defaults to floor(n^(1/k))")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_series)
 
-    p = subs.add_parser("expansion", help="asymptotic expansion coefficients")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--J", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--Q", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_expansion)
+    _command(subs, "expansion", "asymptotic expansion coefficients", _cmd_expansion,
+             ["--k", "--s", "--J", "--n", "--Q"])
 
-    p = subs.add_parser("oracle", help="exact representation-count tables")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p = _command(subs, "oracle", "exact representation-count tables", _cmd_oracle,
+                 ["--k", "--s", "--n-max"])
     p.add_argument("--signed", action="store_true")
     p.add_argument("--binary-out", default=None,
                    help="also write the table in the flat binary format")
     p.add_argument("--cache-dir", default=None)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_oracle)
 
-    p = subs.add_parser("residuals",
-                        help="exact counts minus cumulative expansion predictions")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--J", type=int, required=True)
+    p = _command(subs, "residuals", "exact counts minus cumulative expansion predictions",
+                 _cmd_residuals, ["--k", "--s", "--J", "--n-max", "--Q"])
     p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--Q", type=int, required=True)
     p.add_argument("--cache-dir", default=None)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_residuals)
 
-    p = subs.add_parser("em-verify",
-                        help="lattice power sums against their asymptotics")
-    p.add_argument("--k", type=int, required=True)
+    p = _command(subs, "em-verify", "lattice power sums against their asymptotics",
+                 _cmd_em_verify, ["--k", "--q", "--r"])
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
     p.add_argument("--N", type=int, default=1)
     p.add_argument("--variant", choices=eulermac.VARIANTS, default="two_sided")
-    p.add_argument("--X", required=True,
-                   help="comma list or lo..hi range of X values")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_em_verify)
+    p.add_argument("--X", required=True, help="comma list or lo..hi range of X values")
 
-    p = subs.add_parser("thm14",
-                        help="half-series discrepancy at factorial multiples")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p = _command(subs, "thm14", "half-series discrepancy at factorial multiples", _cmd_thm14,
+                 ["--k", "--s", "--trunc"])
     p.add_argument("--Q", required=True, help="comma list or lo..hi range")
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--trunc", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_thm14)
 
-    p = subs.add_parser("thm15", help="non-vanishing census of the modified series")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--x", type=int, required=True)
+    p = _command(subs, "thm15", "non-vanishing census of the modified series", _cmd_thm15,
+                 ["--k", "--s", "--j", "--x"])
     p.add_argument("--Q", required=True, help="comma list or lo..hi range")
     p.add_argument("--C", type=float, default=None,
                    help="census threshold; default half the pilot median")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_thm15)
 
-    p = subs.add_parser("selftest", help="run the exact-identity suite")
-    p.add_argument("--seed", type=int, default=12345,
-                   help="seed for the sampled checks")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_selftest)
-
+    p = _command(subs, "selftest", "run the exact-identity suite", _cmd_selftest)
+    p.add_argument("--seed", type=int, default=12345, help="seed for the sampled checks")
     return parser
 
 

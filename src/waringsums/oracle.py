@@ -33,6 +33,7 @@ import numpy as np
 
 from . import expansion as _expansion
 from . import series as _series
+from .budget import Part, check
 
 __all__ = [
     "RepCountTable",
@@ -52,9 +53,6 @@ MAGIC = b"WRC1"
 _HEADER = struct.Struct("<4sIIQIB")
 MIN_WIDTH_BITS = 128
 MAX_WIDTH_BITS = 2**32 - 1  # the largest width_bits in _HEADER's uint32 field
-# The largest N a table is built for: building one peaks near 190 bytes per
-# entry (189.6 MiB at k = 4, s = 20, N = 10^6), so about 1.9 GB at this N.
-MAX_N = 10**7
 
 
 class WidthOverflowError(OverflowError):
@@ -84,11 +82,11 @@ def _kth_powers(k: int, N: int) -> List[int]:
     return [y**k for y in range(1, _series.integer_kth_root(N, k) + 1)]
 
 
-def _width_bits_for(k: int, s: int, N: int, signed: bool) -> int:
-    """The entry width every table builder declares, after checking its
-    arguments; an N above MAX_N is refused before any power is formed.
-    Every entry is at most the number of admissible tuples, itself at most
-    (#values per slot)^s; round up to whole bytes, floor 128.
+def _width_bits_for(k: int, s: int, N: int, signed: bool, *also) -> int:
+    """The entry width every table builder declares, once its arguments pass
+    and the budget holds the count and the parts also, before any power is
+    formed.  Every entry is at most the number of admissible tuples, itself
+    at most (#values per slot)^s; round up to whole bytes, floor 128.
 
     The WRC1 header holds the width as a uint32, which it fits exactly
     while per_slot^s, of floor(s log2(per_slot)) + 1 bits, has at most
@@ -98,15 +96,19 @@ def _width_bits_for(k: int, s: int, N: int, signed: bool) -> int:
         raise ValueError("signed counting requires even k")
     if s < 1:
         raise ValueError("s must be >= 1")
-    if not 1 <= N <= MAX_N:
-        raise ValueError(f"need 1 <= N <= {MAX_N}, got N={N}: building a count table "
-                         "takes about 190 bytes per entry")
+    if N < 1:
+        raise ValueError(f"need N >= 1, got N={N}")
     if k < 2:
         raise ValueError("k must be >= 2")
-    per_slot = (2 if signed else 1) * _series.integer_kth_root(N, k) + 1
+    powers = _series.integer_kth_root(N, k)
+    per_slot = (2 if signed else 1) * powers + 1
     if s > MAX_WIDTH_BITS or s * math.log2(per_slot) >= MAX_WIDTH_BITS - 8:
         raise ValueError(f"s = {s} is too large: its entry width would exceed the "
                          f"{MAX_WIDTH_BITS} bits a count-table header can hold")
+    # each step adds every limb once per power, 128 bits of an entry at a time
+    words, table = int(s * math.log2(per_slot)) // 128 + 1, f"k={k}, s={s}, N={N}"
+    check(Part("count additions", (s - 1) * powers * (N + 1) * words, table),
+          Part("count entries", (N + 1) * words, table), *also)
     bound_bits = (per_slot**s).bit_length() + 1
     return max(MIN_WIDTH_BITS, 8 * ((bound_bits + 7) // 8))
 
@@ -273,16 +275,18 @@ class ResidualTable:
 
 def residual_prefactors(k: int, s: int, J: int, n_min: int, n_max: int,
                         Q: int) -> list[float]:
-    """coefficient_prefactors(s, J, k), once (k, s, J), the n range, the
-    count table to n_max, the walk to Q and the size of its table pass
-    every check of residual_table that needs no table, so that a caller
-    can make them before it counts."""
+    """coefficient_prefactors(s, J, k), once every check of residual_table that needs
+    no table passes, so that a caller can make them before it counts: (k, s, J), the
+    n range, the budget, and the floats n^((s-j)/k-1) and float(count) the rows form."""
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
-    _width_bits_for(k, s, n_max, False)  # what counting the table would refuse
     prefactors = _expansion.coefficient_prefactors(s, J, k)
     orders = [_expansion.series_order(k, s, j) for j in range(J + 1)]
-    _series._check_walk(k, orders, [Q], n_max - n_min + 1)
+    walk = _series._walk_parts(k, orders, [Q], n_max - n_min + 1)
+    # a width of at most 1024 bits bounds every count by 2^1023
+    if _width_bits_for(k, s, n_max, False, *walk) > 1024 or (s / k - 1) * math.log2(n_max) >= 1024:
+        raise ValueError(f"n_max={n_max} at k={k}, s={s} gives counts or predictions "
+                         "n^(s/k-1) that pass the largest float")
     return prefactors
 
 

@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .budget import Part, check
 from .expsums import (ExactSum, _units, batch_values, binned_dft, coset_sums, phases,
                       power_residues, prime_power_parts)
 
@@ -43,21 +44,6 @@ __all__ = [
     "census_magnitudes",
     "nonvanishing_census",
 ]
-
-# The largest Q a walk visits; the cost grows about as Q^2, and the scalar
-# j = 1 walk at k = 3 took 0.10 s at Q = 1999 and 30 s here on one Xeon core.
-MAX_WALK_MODULUS = 2**15
-# The most terms, specs x Q(Q+1)/2, a scalar walk adds: one spec to
-# MAX_WALK_MODULUS fits, and the 2000 specs of thm14 --Q 1..1000 --trunc
-# 1035 took 6.3 s on that core.
-MAX_WALK_TERMS = 2**30
-# The most float64 values a range walk's table and snapshots hold (2 GiB):
-# 10^7 rows (oracle.MAX_N) at up to 26 orders.
-MAX_TABLE_VALUES = 2**28
-# The most additions, rows x orders x max(Qs), a range walk makes into its
-# table: 2^22 rows to Q = 8192 took 6.8 s on that core.
-MAX_RANGE_CELLS = 2**35
-
 
 def integer_kth_root(n: int, k: int) -> int:
     """floor(n**(1/k)) for n >= 1, exact at any size (integer arithmetic only)."""
@@ -97,32 +83,24 @@ def _check_orders(k: int, orders) -> None:
         _check_int64("s", s)
 
 
-def _check_walk(k: int, orders, Qs: Sequence[int], rows: int = 0, specs: int = 0) -> None:
-    """Reject, before any work, a walk to each Q in Qs that cannot be
-    evaluated: a range walk of rows values of n past MAX_TABLE_VALUES or
-    MAX_RANGE_CELLS, or a scalar walk of specs past MAX_WALK_TERMS."""
+def _walk_parts(k: int, orders, Qs: Sequence[int], rows: int = 0, specs: int = 0) -> list:
+    """The parts of the budget a walk to each Q in Qs charges, after its
+    k, orders and Qs are checked: one DFT row per order per modulus, and
+    rows values of n for a range walk or specs series for a scalar one."""
     _check_orders(k, orders)
-    if not Qs:
-        raise ValueError("need at least one truncation Q")
-    for Q in Qs:
-        if not 1 <= Q <= MAX_WALK_MODULUS:
-            raise ValueError(f"need 1 <= Q <= {MAX_WALK_MODULUS}, the most moduli a walk "
-                             f"visits, got Q={Q}")
-    values = rows * len(orders) * len(set(Qs))
-    if values > MAX_TABLE_VALUES:
-        raise ValueError(f"{rows} values of n at {len(orders)} order(s) and {len(set(Qs))} "
-                         f"truncation(s) make {values} values, more than the "
-                         f"{MAX_TABLE_VALUES} a range walk holds")
-    top = max(Qs)
-    cells = rows * len(orders) * top
-    if cells > MAX_RANGE_CELLS:
-        raise ValueError(f"{rows} values of n at {len(orders)} order(s) to Q={top} make "
-                         f"{cells} additions, more than the {MAX_RANGE_CELLS} a range "
-                         "walk makes")
-    terms = specs * (top * (top + 1) // 2)
-    if terms > MAX_WALK_TERMS:
-        raise ValueError(f"{specs} series to Q={top} make up to {terms} terms, more than "
-                         f"the {MAX_WALK_TERMS} a scalar walk adds")
+    if min(Qs, default=0) < 1:
+        raise ValueError("need at least one truncation Q, each Q >= 1, got "
+                         f"Q={min(Qs, default='none')}")
+    top, n, stops = max(Qs), len(orders), len(set(Qs))
+    residues, walk, values = top * (top + 1) // 2, f"to Q={top}", f"{rows} values of n at"
+    return [Part("walk moduli", n * top, f"{n} order(s) {walk}"),
+            Part("walk residues", n * residues, f"{n} order(s) {walk}"),
+            Part("range additions", rows * n * top, f"{values} {n} order(s) {walk}"),
+            Part("range values", rows * n * stops,
+                 f"{values} {n} order(s) and {stops} truncation(s)"),
+            Part("scalar moduli", specs * top, f"{specs} series {walk}"),
+            Part("scalar terms", specs * residues, f"{specs} series {walk}"),
+            Part("scalar series", specs, f"{specs} series {walk}")]
 
 
 def _bounds(ns) -> tuple[int, int]:
@@ -225,7 +203,7 @@ def truncated_series(specs: Sequence[TruncationSpec]) -> list[SeriesValue]:
         raise ValueError("need at least one spec, all with the same k and Q")
     k, Q = specs[0].k, specs[0].Q
     orders = {(spec.s, spec.j) for spec in specs}
-    _check_walk(k, orders, [Q], specs=len(specs))
+    check(*_walk_parts(k, orders, [Q], specs=len(specs)))
     sums = [ExactSum() for _ in specs]
     count = 0
     for q, phi, a, rows in _walk(k, orders, Q):
@@ -262,7 +240,7 @@ def series_over_range_orders(k: int, orders, ns, Qs: Sequence[int]) -> list[np.n
     the partial one left.  Rows are applied in increasing q; agreement
     with the scalar path is at rounding level."""
     start, size = _bounds(ns)
-    _check_walk(k, orders, Qs, size)
+    check(*_walk_parts(k, orders, Qs, size))
     out = np.zeros((len(orders), size))
     stops, snapshots, top = set(Qs), {}, max(Qs)
     for q, _, a, rows in _walk(k, orders, top):
@@ -351,8 +329,7 @@ def factorial_multiple_discrepancy(s: int, k: int, Qs: Sequence[int], m: int,
 
     M is the first-order modified series with exponent s, C the classical
     series with exponent s-1.  Requires odd k and 2s >= 3k + 6.  Every
-    phase e(-na/q) with q <= Q is exactly 1 because q divides Q!.  The
-    walk keeps two exact sums per Q, so its memory grows with len(Qs).
+    phase e(-na/q) with q <= Q is exactly 1 because q divides Q!.
     """
     if k % 2 == 0:
         raise ValueError("requires odd k")

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import hashlib
 import importlib
 import importlib.util
@@ -12,11 +13,12 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
 
-from waringsums import cli, eulermac, expansion, oracle, series
+from waringsums import budget, cli, eulermac, expansion, expsums, oracle, series
 from waringsums.series import TruncationSpec
 
 
@@ -91,13 +93,18 @@ class TestParsing:
         with pytest.raises(ValueError):
             cli._parse_int_list("--Q", "5..2")
 
-    def test_int_list_up_to_its_ceiling(self):
-        top = cli.MAX_LIST_VALUES
+    def test_int_list_up_to_its_ceiling(self, monkeypatch):
+        # at a second a value, the budget holds SECONDS values
+        monkeypatch.setitem(budget.RATES, "list values", (10**12, 0))
+        top = budget.SECONDS
         assert len(cli._parse_int_list("--X", f"{-top}..-1")) == top
-        with pytest.raises(ValueError, match=f"--X 1..{top + 1} lists {top + 1} values"):
+        with pytest.raises(ValueError, match=f"for --X 1..{top + 1} lists {top + 1} values$"):
             cli._parse_int_list("--X", f"1..{top + 1}")
         with pytest.raises(ValueError, match="--Q"):
             cli._parse_int_list("--Q", ",".join(["7"] * (top + 1)))
+        # a range past sys.maxsize is measured, never listed or passed to len()
+        with pytest.raises(ValueError, match=f"for --Q 1..{2**64} lists {2**64} values$"):
+            cli._parse_int_list("--Q", f"1..{2**64}")
 
 
 class TestExpsumCommand:
@@ -246,38 +253,59 @@ class TestWalkValidation:
                      "error: requires 2s >= ", id="thm15 --k 2**63-1"),
         pytest.param(f"thm14 --k {10**400 + 1} --s 8 --Q 3 --trunc 10",
                      "error: requires 2s >= ", id="thm14 --k 10**400+1"),
-        # tables past series.MAX_TABLE_VALUES, lists past cli.MAX_LIST_VALUES,
-        # a walk past series.MAX_WALK_MODULUS and a main term that is nan
+        # past the work budget: range tables, list flags, walks to a large Q,
+        # and main terms whose gamma ratio is nan
         ("series --k 3 --s 9 --n-min 0 --n-max 10000000000 --Q 5",
-         "error: 10000000001 values of n at 1 order(s) and 1 truncation(s)"),
+         "range values (1e+04 s, 8e+10 bytes) for 10000000001 values of n at 1 order(s) and "
+         "1 truncation(s)"),
         ("thm15 --k 3 --s 13 --j 1 --x 10000000000 --Q 5",
-         "error: 10000000000 values of n at 1 order(s) and 1 truncation(s)"),
+         "for 10000000000 values of n at 1 order(s) and 1 truncation(s)"),
         ("thm15 --k 3 --s 13 --j 1 --x 9223372036854775807 --Q 5",
-         "error: 9223372036854775807 values of n at 1 order(s)"),
+         "for 9223372036854775807 values of n at 1 order(s)"),
         ("series --k 3 --s 9 --n-min -9223372036854775809 --n-max 0 --Q 5",
-         "error: 9223372036854775810 values of n at 1 order(s)"),
+         "for 9223372036854775810 values of n at 1 order(s)"),
         ("em-verify --k 2 --theta 1.5 --q 11 --r 1 --X 1..1000000000",
-         "error: --X 1..1000000000 lists 1000000000 values, more than the 65536"),
+         "list values (5e+04 s, 6.4e+10 bytes) for --X 1..1000000000 lists 1000000000 values"),
         ("thm14 --k 3 --s 8 --Q 1..100000000 --trunc 10",
-         "error: --Q 1..100000000 lists 100000000 values, more than the 65536"),
+         "for --Q 1..100000000 lists 100000000 values"),
         ("thm15 --k 3 --s 13 --j 1 --x 100 --Q 1..1000000000",
-         "error: --Q 1..1000000000 lists 1000000000 values, more than the 65536"),
+         "for --Q 1..1000000000 lists 1000000000 values"),
         ("series --k 3 --s 9 --n 1 --Q 3037000500",
-         "error: need 1 <= Q <= 32768, the most moduli a walk visits"),
+         "walk residues (2.08e+11 s, 0 bytes) for 1 order(s) to Q=3037000500"),
         ("em-verify --k 2 --theta 1e308 --q 2 --r 0 --N 100 --X 1",
          "error: theta 1e+308 is too large: the gamma ratio"),
-        # walks past series.MAX_WALK_TERMS and series.MAX_RANGE_CELLS, and
-        # main terms whose gamma ratio keeps less than 1e-9 relative accuracy
         ("thm14 --k 3 --s 8 --Q 1..1500 --trunc 32768",
-         "error: 3000 series to Q=32768 make up to 1610661888000 terms, more than the "
-         "1073741824"),
+         "scalar terms (3.22e+04 s, 0 bytes) for 3000 series to Q=32768"),
         ("series --k 3 --s 9 --j 0 --n-min 0 --n-max 67108863 --Q 32768",
-         "error: 67108864 values of n at 1 order(s) to Q=32768 make 2199023255552 "
-         "additions, more than the 34359738368"),
+         "range additions (1.1e+03 s, 0 bytes) for 67108864 values of n at 1 order(s) to "
+         "Q=32768"),
+        # main terms whose gamma ratio keeps less than 1e-9 relative accuracy
         ("em-verify --k 2 --theta 1e14 --q 2 --r 0 --X 1",
          "error: theta 100000000000000.0 is too large: the gamma ratio"),
         ("em-verify --k 2 --theta 1e16 --q 2 --r 0 --X 1",
          "error: theta 1e+16 is too large: the gamma ratio"),
+        # under every ceiling the budget replaced: batch or point sums of about
+        # 2e11 bytes, 1e9 lattice points at Python's pow, 2.5e11 count additions,
+        # a walk of 1001 orders to Q = 32768 and 2^17 exact sums
+        ("expsum --k 3 --q 3000000000", "expsum residues (8.4e+03 s, 2.16e+11 bytes) for "
+                                        "--q 3000000000"),
+        ("expsum --k 3 --q 3000000000 --a 1", "for --q 3000000000"),
+        ("em-verify --k 2 --theta 0.5 --q 1 --r 0 --X 500000000",
+         "for --X 500000000 at --q 1: 1000000001 lattice points"),
+        ("oracle --k 2 --s 9 --n-max 10000000", "count additions (126 s, 0 bytes) for k=2, "
+                                                "s=9, N=10000000"),
+        ("residuals --k 2 --s 1001 --J 1000 --n-max 10 --Q 32768",
+         "walk residues (2.42e+04 s, 0 bytes) for 1001 order(s) to Q=32768"),
+        pytest.param("thm14 --k 3 --s 8 --trunc 40 --Q " + ",".join(["7"] * 2**16),
+                     "scalar series (0 s, 5.1e+09 bytes) for 131072 series to Q=40",
+                     id="thm14 --Q 7 listed 2**16 times"),
+        # counts or predictions past the largest float: n_max^(s/k-1) = 10^316,
+        # and counts of more than 1024 bits
+        ("residuals --k 2 --s 160 --J 0 --n-min 9990 --n-max 10000 --Q 10",
+         "error: n_max=10000 at k=2, s=160 gives counts or predictions n^(s/k-1) that pass "
+         "the largest float"),
+        ("residuals --k 2 --s 300 --J 0 --n-min 9990 --n-max 10000 --Q 10",
+         "error: n_max=10000 at k=2, s=300 gives counts"),
     ])
     def test_refused_before_any_work_naming_its_flag(self, monkeypatch, capsys, argv, named):
         def work(*args, **kwargs):
@@ -288,9 +316,10 @@ class TestWalkValidation:
         monkeypatch.setattr(eulermac, "progression_power_sum", work)
         monkeypatch.setattr(eulermac, "lattice_power_sum", work)
         monkeypatch.setattr(np, "zeros", work)  # the range walk's table
+        monkeypatch.setattr(expsums, "power_residues", work)
         assert cli.run(argv.split()) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith(named)
+        assert out == "" and err.startswith("error: ") and named in err
 
     @pytest.mark.parametrize("flags", [
         "--k 3 --s 13 --J -1",
@@ -369,66 +398,83 @@ class TestWalkValidation:
         assert out == "" and "C must be finite" in err
 
 
-# Each flag of the commands that walk the moduli, of oracle, residuals,
-# em-verify, expsum and selftest, set in turn to a boundary value: each case
+# Every action of every sub-parser of cli.build_parser(), set in turn on
+# each base command of its sub-command to each value of its kind: each case
 # finishes or is refused (exit 2) before the walk, the count or the direct
 # lattice sum, never exit 1, such as an OverflowError from a 401-digit
 # order, or a MemoryError from forming r**(k-1) or per_slot**s or from
-# allocating a count table past oracle.MAX_N.  em-verify runs at q = 1,
-# where a large --X holds more points than cli.MAX_DIRECT_POINTS.
-BOUNDARY_BASES = {
-    "series": "series --k 3 --s 9 --j 1 --n 1000 --Q 50",
-    "series-range": "series --k 3 --s 9 --j 1 --n-min 10 --n-max 20 --Q 50",
-    "expansion": "expansion --k 3 --s 13 --J 2 --n 1000 --Q 50",
-    "thm14": "thm14 --k 3 --s 8 --Q 3 --trunc 50 --m 2",
-    "thm15": "thm15 --k 3 --s 13 --j 1 --x 50 --Q 20",
-    "oracle": "oracle --k 3 --s 3 --n-max 10",
-    "residuals": "residuals --k 3 --s 13 --J 1 --n-min 10 --n-max 40 --Q 20",
-    "em-verify": "em-verify --k 3 --theta 1.5 --q 1 --r 0 --N 2 --X 100",
-    "expsum": "expsum --k 3 --q 7 --a 2",
-    "selftest": "selftest --seed 1",
-}
-BOUNDARY_VALUES = {"0": 0, "-1": -1, "2**63-1": 2**63 - 1, "2**63": 2**63,
-                   "10**400": 10**400}
-# Beyond those integers: nan and inf for the float flags, each --variant,
-# and for the list flags an empty, a reversed and a wide list, and lists
-# that hold boundary values.  A flag not in the base command is appended.
+# allocating a count table past the budget.  em-verify runs at q = 1, where
+# a large --X holds more lattice points than the budget allows.
+BOUNDARY_BASES = [
+    "series --k 3 --s 9 --j 1 --n 1000 --Q 50",
+    "series --k 3 --s 9 --j 1 --n-min 10 --n-max 20 --Q 50",
+    "expansion --k 3 --s 13 --J 2 --n 1000 --Q 50",
+    "thm14 --k 3 --s 8 --Q 3 --trunc 50 --m 2",
+    "thm15 --k 3 --s 13 --j 1 --x 50 --Q 20",
+    "oracle --k 3 --s 3 --n-max 10",
+    "residuals --k 3 --s 13 --J 1 --n-min 10 --n-max 40 --Q 20",
+    "em-verify --k 3 --theta 1.5 --q 1 --r 0 --N 2 --X 100",
+    "expsum --k 3 --q 7 --a 2",
+    "expsum --k 3 --q 7",
+    "selftest --seed 1",
+]
+BOUNDARY_INTS = [0, -1, 2**63 - 1, 2**63, 10**400]
+# For the list flags an empty, a reversed and a wide list, and lists that
+# hold boundary values; for the paths a new one, a directory, a file, and a
+# file used as a directory, each under the test's own directory.
 BOUNDARY_LISTS = [",", "5..1", f"1..{2**63}", f"1..{10**400}", "0,1", "3,-1",
                   f"3,{2**63 - 1}", f"3,{10**400}", "2..4", "4,2,4"]
-BOUNDARY_EXTRAS = {
-    ("em-verify", "--theta"): ["nan", "inf"],
-    ("thm15", "--C"): ["nan", "inf", "0", "-1"],
-    ("em-verify", "--variant"): list(eulermac.VARIANTS),
-    ("em-verify", "--X"): BOUNDARY_LISTS,
-    ("thm14", "--Q"): BOUNDARY_LISTS,
-    ("thm15", "--Q"): BOUNDARY_LISTS,
-}
+BOUNDARY_PATHS = ["{tmp}/new", "{tmp}", "{tmp}/file", "{tmp}/file/x"]
+BOUNDARY_STRINGS = {"X": BOUNDARY_LISTS, "Q": BOUNDARY_LISTS, "output": BOUNDARY_PATHS,
+                    "config": BOUNDARY_PATHS, "binary_out": BOUNDARY_PATHS,
+                    "cache_dir": BOUNDARY_PATHS}
 
 
-def _set_flag(argv: str, flag: str, value: str) -> list:
+def _boundary_values(action: argparse.Action) -> Optional[list]:
+    """The values an action is set to, by its kind; None for a kind not
+    known here, which test_every_parser_action_has_a_boundary_case refuses."""
+    if action.nargs == 0:
+        return [None]  # an on/off flag: given alone
+    if action.choices:
+        return list(action.choices)
+    if action.type in (int, float):
+        return BOUNDARY_INTS + (["nan", "inf"] if action.type is float else [])
+    return BOUNDARY_STRINGS.get(action.dest) if action.type is None else None
+
+
+def _sub_parsers() -> dict:
+    (subs,) = (a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    return {name: [a for a in sub._actions if a.dest != "help"]
+            for name, sub in subs.choices.items()}
+
+
+def _set_flag(argv: str, flag: str, value) -> list:
     words = argv.split()
     if flag not in words:
-        return words + [flag, value]
+        return words + [flag] + ([] if value is None else [str(value)])
     i = words.index(flag)
-    return words[: i + 1] + [value] + words[i + 2 :]
+    return words if value is None else words[: i + 1] + [str(value)] + words[i + 2 :]
 
 
 BOUNDARY_CASES = [
-    pytest.param(words[: i + 1] + [str(value)] + words[i + 2 :],
-                 id=f"{base} {words[i]} {name}")
-    for base, words in ((base, argv.split()) for base, argv in BOUNDARY_BASES.items())
-    for i in range(1, len(words), 2)
-    for name, value in BOUNDARY_VALUES.items()
-] + [
-    pytest.param(_set_flag(BOUNDARY_BASES[base], flag, value),
-                 id=f"{base} {flag} {value[:30]}")
-    for (base, flag), values in BOUNDARY_EXTRAS.items()
-    for value in values
+    pytest.param(_set_flag(base, action.option_strings[-1], value),
+                 id=f"{base} {action.option_strings[-1]} {str(value)[:30]}")
+    for base in BOUNDARY_BASES
+    for action in _sub_parsers()[base.split()[0]]
+    for value in _boundary_values(action) or []
 ]
 
 
+def test_every_parser_action_has_a_boundary_case():
+    commands = {base.split()[0] for base in BOUNDARY_BASES}
+    assert [(name, action.dest) for name, actions in _sub_parsers().items()
+            for action in actions
+            if name not in commands or not _boundary_values(action)] == []
+
+
 @pytest.mark.parametrize("argv", BOUNDARY_CASES)
-def test_boundary_value_finishes_or_is_refused_before_the_walk(monkeypatch, capsys, argv):
+def test_boundary_value_finishes_or_is_refused_before_the_walk(monkeypatch, capsys, tmp_path,
+                                                              argv):
     walks = []
     for module, name in ((series, "_walk"), (oracle, "_build_table"),
                          (eulermac, "lattice_power_sum")):
@@ -437,7 +483,11 @@ def test_boundary_value_finishes_or_is_refused_before_the_walk(monkeypatch, caps
             return _work(*args)
 
         monkeypatch.setattr(module, name, counted)
-    code = cli.run(argv)
+    # the flags are under test here, not the checks: selftest runs only its first
+    checks = cli._selftest_checks
+    monkeypatch.setattr(cli, "_selftest_checks", lambda seed: checks(seed)[:1])
+    (tmp_path / "file").write_text("")
+    code = cli.run([word.replace("{tmp}", str(tmp_path)) for word in argv])
     out, err = capsys.readouterr()
     assert code in (0, 2), err
     if code == 2:
@@ -573,6 +623,51 @@ GOLDEN = [
 ]
 
 
+class _Stopped(Exception):
+    """Raised where a command's or a call's work would begin."""
+
+
+# The Baselines rows of ROADMAP.md, as commands and as library calls
+BASELINES = [pytest.param(argv.split(), id=argv) for argv in (
+    "residuals --k 3 --s 13 --J 2 --n-min 1500 --n-max 299950 --Q 300",
+    "residuals --k 3 --s 13 --J 2 --n-min 1500 --n-max 101499 --Q 300 --json",
+)] + [pytest.param(call, id=name) for name, call in (
+    ("truncated_series (3, 9, 1, 523457, 1999)",
+     lambda: series.truncated_series([TruncationSpec(3, 9, 523457, j=1, Q=1999)])),
+    ("truncated_series (3, 9, 0, 523457, 1999)",
+     lambda: series.truncated_series([TruncationSpec(3, 9, 523457, j=0, Q=1999)])),
+    ("series_over_range_orders", lambda: series.series_over_range_orders(
+        3, [(9, 0)], range(1000), [1000])),
+    ("coefficients_even", lambda: expansion.coefficients_even(5, 1, 54321, 2, 1000)),
+    ("coefficients_odd", lambda: expansion.coefficients_odd(13, 2, 77777, 3, 1000)),
+    ("count (3, 13, 30000)", lambda: oracle.count_representations(3, 13, 30000)),
+    ("count (3, 13, 299950)", lambda: oracle.count_representations(3, 13, 299950)),
+    ("count (2, 9, 10**6)", lambda: oracle.count_representations(2, 9, 10**6)),
+    ("factorial_multiple_discrepancy", lambda: series.factorial_multiple_discrepancy(
+        8, 3, [7], 11, 1000)),
+    ("census_magnitudes", lambda: series.census_magnitudes(13, 1, 3, 1000, [500, 1000])),
+    ("residual_table k=3", lambda: oracle.residual_prefactors(3, 13, 2, 1500, 29950, 300)),
+    ("residual_table k=2", lambda: oracle.residual_prefactors(2, 4, 1, 1500, 29950, 300)),
+)]
+
+
+@pytest.mark.parametrize("call", [pytest.param(argv, id=" ".join(argv)) for argv, _ in GOLDEN]
+                         + BASELINES)
+def test_golden_and_baseline_work_is_within_the_budget(monkeypatch, capsys, call):
+    # predicted only: the work stops where it would begin, after the budget
+    def stop(*args, **kwargs):
+        raise _Stopped
+
+    for module, name in ((series, "_walk"), (oracle, "_build_table"), (oracle, "read_binary"),
+                         (eulermac, "lattice_power_sum"), (expsums, "power_residues")):
+        monkeypatch.setattr(module, name, stop)
+    if callable(call):
+        with contextlib.suppress(_Stopped):
+            call()
+    else:
+        assert cli.run(call) != 2, capsys.readouterr().err
+
+
 class TestOracleCommand:
     def test_counts_and_binary_export(self, tmp_path):
         bin_path = tmp_path / "table.bin"
@@ -660,7 +755,7 @@ class TestOracleCommand:
     @pytest.mark.parametrize("argv", [
         "oracle --k 3 --s 3 --n-max 100000000000",
         pytest.param(f"oracle --k 3 --s 3 --n-max {10**400}", id="oracle --n-max 10**400"),
-        "oracle --k 2 --s 3 --n-max 10000001 --signed",
+        "oracle --k 2 --s 3 --n-max 100000000 --signed",
         "residuals --k 3 --s 3 --J 0 --n-max 3000000000 --Q 10",
     ])
     def test_table_past_the_ceiling_is_refused_before_allocation(self, monkeypatch, capsys,
@@ -672,7 +767,8 @@ class TestOracleCommand:
         monkeypatch.setattr(oracle, "_build_table", work)
         assert cli.run(argv.split()) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"error: need 1 <= N <= {oracle.MAX_N}, got N=")
+        N = argv.split()[argv.split().index("--n-max") + 1]
+        assert out == "" and err.startswith("error: predicted ") and f", N={N}\n" in err
 
     @pytest.mark.parametrize("argv, digest", GOLDEN)
     def test_golden_output(self, capsys, argv, digest):
@@ -728,8 +824,8 @@ class TestExperimentCommands:
         ("em-verify --k 2 --theta 1.5 --q 11 --r 1 --X 1000000000000", 181818181819),
         ("em-verify --k 3 --theta 1.5 --q 1 --r 0 --variant positive "
          "--X 9223372036854775807", 2**63 - 1),
-        # each X alone is below the ceiling, the two together are not
-        (f"em-verify --k 2 --theta 1.5 --q 1 --r 0 --X {2**28},{2**28 + 1}", 2**30 + 4),
+        # each X alone is within the budget, the two together are not
+        (f"em-verify --k 2 --theta 1.5 --q 1 --r 0 --X {2**30},{2**30 + 1}", 2**32 + 4),
     ])
     def test_em_verify_refuses_more_points_than_its_ceiling(self, monkeypatch, capsys,
                                                             argv, points):
@@ -739,7 +835,8 @@ class TestExperimentCommands:
         monkeypatch.setattr(eulermac, "lattice_power_sum", direct_sum)
         assert cli.run(argv.split()) == 2
         out, err = capsys.readouterr()
-        assert out == "" and f"{points} lattice points, more than the {2**30}" in err
+        assert out == "" and err.startswith("error: predicted ")
+        assert f" {points} lattice points\n" in err
 
     @pytest.mark.parametrize("theta", ["nan", "inf"])
     def test_em_verify_refuses_a_non_finite_theta(self, monkeypatch, capsys, theta):
@@ -964,7 +1061,8 @@ def test_importing_the_cli_computes_no_bernoulli_number():
 def test_importing_series_loads_only_what_it_uses():
     out = _fresh_interpreter("import sys, waringsums.series; "
                              "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'waringsums'))")
-    assert out.split() == ["waringsums", "waringsums.expsums", "waringsums.series"]
+    assert out.split() == ["waringsums", "waringsums.budget", "waringsums.expsums",
+                           "waringsums.series"]
 
 
 @pytest.mark.parametrize("module", sorted(

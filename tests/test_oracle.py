@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import python_int_counts
-from waringsums import expansion, oracle, series
+from waringsums import budget, expansion, oracle, series
 
 
 def spy_on_carry(monkeypatch):
@@ -116,13 +116,15 @@ class TestCountRepresentations:
         def listed(*args):
             raise AssertionError("the k-th powers were listed")
 
+        # the budget holds a table of (2, 3, 1000): 1001 entries of 128 bits
+        monkeypatch.setattr(budget, "BYTES", 1001 * 128)
+        assert oracle._width_bits_for(2, 3, 1000, True) == 128
         monkeypatch.setattr(oracle, "_kth_powers", listed)
-        for N in (oracle.MAX_N + 1, 10**11, 10**400):
+        for N in (1001, 10**11, 10**400):
             for build in (oracle.count_representations, oracle.count_representations_signed,
                           oracle.count_by_enumeration):
-                with pytest.raises(ValueError, match=rf"N <= {oracle.MAX_N}, got N={N}:"):
+                with pytest.raises(ValueError, match=rf"count .* for k=2, s=3, N={N}$"):
                     build(2, 3, N)
-        assert oracle._width_bits_for(3, 3, oracle.MAX_N, False) == 128
 
     @pytest.mark.parametrize("k,s,N,signed", [(2, 1, 1, False), (3, 50, 30, False),
                                               (2, 7, 10**4, True), (3, 10**4, 10, False),

@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import (direct_S, direct_modified_series, direct_power_moment, full_row_moment,
                       full_row_power_moment, loglog_slope, totient_sum)
-from waringsums import expsums, oracle, series
+from waringsums import budget, expsums, oracle, series
 from waringsums.series import TruncationSpec
 
 
@@ -223,39 +224,51 @@ class TestSeriesOverRange:
         def walked(*args):
             raise AssertionError("the walk ran")
 
-        monkeypatch.setattr(series, "MAX_TABLE_VALUES", 12)
-        # 3 rows x 2 orders x 2 distinct Q = 12 values fit
+        monkeypatch.setattr(budget, "BYTES", 12 * 8)
+        # 3 rows x 2 orders x 2 distinct Q = 12 float64 values fit
         rows = series.series_over_range_orders(3, [(9, 0), (9, 1)], range(3), [5, 7, 5])
         assert [r.shape for r in rows] == [(2, 3)] * 3
         monkeypatch.setattr(series, "_walk", walked)
-        for ns, Qs in ((range(4), [5, 7]), (range(3), [5, 6, 7]),
-                       (range(2**70), [5]), (range(-(2**65), 2**65), [5])):
+        for ns, Qs, values in ((range(4), [5, 7], 16), (range(3), [5, 6, 7], 18),
+                               (range(2**70), [5], 2**71), (range(-(2**65), 2**65), [5], 2**67)):
             # no len() of a range past sys.maxsize: the refusal is a ValueError
-            with pytest.raises(ValueError, match="a range walk holds"):
+            largest, size = (re.escape(f"the largest part is {values:.3g} range values ("),
+                             re.escape(f" s, {8 * values:.3g} bytes) for "))
+            with pytest.raises(ValueError, match=f"{largest}.*{size}.* and {len(set(Qs))} "
+                                                 "truncation"):
                 series.series_over_range_orders(3, [(9, 0), (9, 1)], ns, Qs)
 
     def test_work_ceilings_count_additions_and_terms(self, monkeypatch):
         def walked(*args):
             raise AssertionError("the walk ran")
 
-        monkeypatch.setattr(series, "MAX_RANGE_CELLS", 42)
-        monkeypatch.setattr(series, "MAX_WALK_TERMS", 30)
+        def priced(name, seconds):  # one second a unit of name, nothing for the rest
+            for kind in budget.RATES:
+                monkeypatch.setitem(budget.RATES, kind, (10**12 * (kind == name), 0))
+            monkeypatch.setattr(budget, "SECONDS", seconds)
+
         # 3 rows x 2 orders to Q = 7 make 42 additions; 3 specs to Q = 4, 30 terms
+        priced("range additions", 42)
         series.series_over_range_orders(3, [(9, 0), (9, 1)], range(3), [5, 7])
+        priced("scalar terms", 30)
         series.truncated_series([TruncationSpec(3, 9, n, j=1, Q=4) for n in (1, 2, 3)])
         monkeypatch.setattr(series, "_walk", walked)
-        with pytest.raises(ValueError, match="4 values of n at 2 order.s. to Q=7 make 56 "):
+        priced("range additions", 42)
+        with pytest.raises(ValueError, match=r"56 range additions \(56 s, 0 bytes\) for 4 "
+                                             "values of n at 2 order.s. to Q=7"):
             series.series_over_range_orders(3, [(9, 0), (9, 1)], range(4), [5, 7])
+        priced("scalar terms", 30)
         for specs, Q, terms in ((4, 4, 40), (3, 5, 45)):
-            with pytest.raises(ValueError, match=f"{specs} series to Q={Q} make up to {terms} "):
+            with pytest.raises(ValueError, match=f"{terms} scalar terms .* for {specs} series "
+                                                 f"to Q={Q}"):
                 series.truncated_series([TruncationSpec(3, 9, n, j=1, Q=Q)
                                          for n in range(specs)])
 
     def test_walk_ceiling(self):
-        top = series.MAX_WALK_MODULUS
-        series._check_walk(3, [(9, 1)], [top])
-        for Q in (top + 1, 3_037_000_500):
-            with pytest.raises(ValueError, match=f"need 1 <= Q <= {top}"):
+        # one order to the old ceiling Q = 2^15 fits the budget; ten times that does not
+        budget.check(*series._walk_parts(3, [(9, 1)], [2**15], specs=1))
+        for Q in (10 * 2**15, 3_037_000_500, 10**400):
+            with pytest.raises(ValueError, match=f"walk residues .* for 1 order.s. to Q={Q}$"):
                 series.truncated_series([TruncationSpec(3, 9, 1, j=1, Q=Q)])
 
 
