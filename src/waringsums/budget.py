@@ -29,10 +29,13 @@ RATES = {
     "scalar series": (0, 38 << 10),  # the exact sum one series keeps
     "count additions": (500, 0),  # 128 bits of every entry, one k-th power, one step
     "count entries": (200_000, 128),  # 128 bits of one entry, as limbs and as an int
+    "moment moduli": (7_000_000, 0),  # one q of a moment sum: its factors' product
+    "moment residues": (50_000, 0),  # one residue of a moment's local row
     "lattice points at theta 3/2": (25_000, 0),  # fb * sqrt(fb), in numpy
     "lattice points": (160_000, 0),  # Python's pow
     "expsum residues": (2_800_000, 72),  # S and T at every a mod q, by DFT: a row each
     "expsum point residues": (500_000, 48),  # S and T at one a, summed over r
+    "digit pairs": (20, 0),  # two digits of n = Q!*m: building and printing n is quadratic
     "list values": (50_000_000, 64),  # one --X or --Q value: an em-verify row is 34 us
 }
 

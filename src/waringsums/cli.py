@@ -32,7 +32,6 @@ __all__ = ["build_parser", "run", "main"]
 
 ROWS_PER_WRITE = 4096  # rows formatted per write, which bounds the emitter's memory
 _FLOAT = "%.15g"  # the format of every float cell
-_LOG_MAX = math.log(sys.float_info.max)
 
 
 # ----------------------------- plumbing -----------------------------------
@@ -204,6 +203,8 @@ def _cmd_expsum(args) -> int:
 def _cmd_series(args) -> int:
     meta = {"subcommand": "series", "k": args.k, "s": args.s, "j": args.j,
             "Q": args.Q}
+    if args.n is not None and (args.n_min, args.n_max) != (None, None):
+        raise ValueError("--n (point mode) and --n-min/--n-max (range mode) exclude each other")
     if args.n is not None:
         spec = series.TruncationSpec(args.k, args.s, args.n, j=args.j, Q=args.Q)
         val = series.modified_series_truncated(spec)
@@ -264,46 +265,11 @@ def _cmd_residuals(args) -> int:
     return 0
 
 
-def _is_float(num: int, den: int = 1) -> bool:
-    """Whether num / den rounds to a finite float: its size is below
-    2^1024 - 2^970, halfway from the largest float to 2^1024."""
-    return abs(num) < den * (2**1024 - 2**970)
-
-
 def _cmd_em_verify(args) -> int:
     xs = _parse_int_list("--X", args.X)
     specs = [eulermac.LatticeSumSpec(args.q, args.r, x, args.theta, args.k, args.N)
              for x in xs]  # refuses a k of 2^63 or more
-    q, r, k = args.q, args.r, args.k
-    # the asymptotics form 2X/q, and -r/q in the positive variant
-    if not _is_float(q):
-        raise ValueError(f"--q {q} passes the largest float")
-    if args.variant == "positive" and not _is_float(r, q):
-        raise ValueError(f"--r {r} over --q {q} passes the largest float")
-    eulermac._check_order(args.N, args.theta)  # N is in range before it is used
-    points = 0
-    for x in xs:
-        log_power = k * (args.theta * math.log(x))  # of X^(k theta); 0, not nan, at X = 1
-        # at most 2X/q + 1 terms, each at most X^(k theta): a float holds the sum
-        terms = math.log(2 * x + q) - math.log(q)
-        if log_power + terms >= _LOG_MAX:
-            raise ValueError(f"--theta {args.theta} is too large for --k {k} at "
-                             f"--X {x}: the direct sum could pass the largest float")
-        # and the asymptotics' error scale X^(k theta) (q/X)^(N-1)
-        if log_power + (args.N - 1) * (math.log(q) - math.log(x)) >= _LOG_MAX:
-            raise ValueError(f"--N {args.N} at --q {q} and --X {x} gives an error scale "
-                             "X^(k theta) (q/X)^(N-1) that passes the largest float")
-        lo = 1 if args.variant == "positive" else -x
-        first = lo + (r - lo) % q  # the window's smallest point
-        points += (x - first) // q + 1
-        # every base X^k - x^k becomes a float: the largest is at most X^k,
-        # or X^k + |first|^k for odd k and a negative smallest point
-        if k * (x.bit_length() - 1) >= 1024 or not _is_float(
-                x**k + (max(-first, 0) ** k if k % 2 else 0)):
-            raise ValueError(f"--X {x} at --k {k} gives a base X^k - x^k that passes "
-                             "the largest float")
-    check(Part("lattice points at theta 3/2" if args.theta == 1.5 else "lattice points",
-               points, f"--X {args.X} at --q {q}: {points} lattice points"))
+    check(*eulermac._lattice_parts(specs, args.variant))
     # the asymptotics refuse the positive variant at even k, so they run first
     asymptotics = [eulermac.progression_power_sum_asymptotic(spec, args.variant)
                    for spec in specs]
@@ -323,29 +289,28 @@ def _cmd_em_verify(args) -> int:
 
 def _cmd_thm14(args) -> int:
     qs = _parse_int_list("--Q", args.Q)
-    # n is printed in full; refuse one too long to print before Q! is built:
-    # Q! has more than Q digits for Q >= 25 and a nonzero limit is >= 640,
-    # so Q > limit is too long, and lgamma refuses a smaller Q far past it
+    if min(qs) < 1 or args.m < 1:
+        raise ValueError("Q and m must be positive")
+    if max(qs) > sys.maxsize:  # math.factorial refuses it, with a limit or without
+        raise ValueError(f"Q={max(qs)} is above sys.maxsize={sys.maxsize}; Q! cannot be built")
+    # n is printed in full, in time quadratic in its digits: before any Q! is
+    # built, lgamma's count of them is charged and held to the interpreter's limit
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    too_many = 10**limit  # the least n of more than limit digits, formed once
+    logs = [math.lgamma(Q + 1) / math.log(10) + math.log10(args.m) for Q in qs]
 
     def too_long(Q: int) -> ValueError:
         return ValueError(f"n = Q!*m at Q={Q}, m={args.m} has more than {limit} "
                           "digits, the interpreter's limit for printing an integer")
 
-    ns = []
-    for Q in qs:
-        if Q < 1 or args.m < 1:
-            raise ValueError("Q and m must be positive")
-        if Q > sys.maxsize:  # math.factorial refuses it, with a limit or without
-            raise ValueError(f"Q={Q} is above sys.maxsize={sys.maxsize}; Q! cannot be built")
-        if limit and (Q > limit or math.lgamma(Q + 1) / math.log(10)
-                      + math.log10(args.m) > limit + 1):
+    for Q, log in zip(qs, logs):
+        if limit and log > limit + 1:
             raise too_long(Q)
-        n = math.factorial(Q) * args.m
-        if limit and n >= too_many:
+    check(Part("digit pairs", sum((int(log) + 1) ** 2 for log in logs),
+               f"n = Q!*m at --Q {args.Q}, --m {args.m}"))
+    ns = [math.factorial(Q) * args.m for Q in qs]
+    for Q, n in zip(qs, ns):
+        if limit and n >= 10**limit:  # the least n of more than limit digits
             raise too_long(Q)
-        ns.append(n)
     disc = series.factorial_multiple_discrepancy(args.s, args.k, qs, args.m, args.trunc)
     meta = {"subcommand": "thm14", "k": args.k, "s": args.s, "m": args.m,
             "trunc": args.trunc}

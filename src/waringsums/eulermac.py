@@ -8,19 +8,20 @@ Its one leaf forms the bases in numpy blocks: int64 where they fit, and
 otherwise object blocks of exact Python ints (or Fractions).  Window
 endpoints and signs are decided in exact arithmetic: ints, Fractions,
 and binary floats are all exact rationals, so no boundary depends on a
-float comparison.
+float comparison.  _lattice_parts prices and refuses the sums before any.
 
 The asymptotic evaluators return the corresponding main terms, the
 boundary correction Psi that appears in the positive variant when k is
 odd, and the scale of the error term, so scaling experiments can check
 |direct - prediction| / error_scale directly.  Their Euler-Maclaurin
 boundary terms are written in closed form through the periodic
-Bernoulli functions.
+Bernoulli functions, once _asymptotic_floats has checked their float range.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
@@ -28,6 +29,7 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from .arith import log_gamma, periodic_bernoulli
+from .budget import Part, check
 from .expsums import ExactSum
 from .series import _check_orders, integer_kth_root
 
@@ -43,6 +45,7 @@ __all__ = [
 
 VARIANTS = ("two_sided", "positive")
 _CHUNK = 4096  # points of the last coordinate per block in lattice_power_sum
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -112,13 +115,43 @@ def _gamma_ratio(theta: float, k: int, dims: int = 1) -> float:
     return math.exp(lo + dims * log_gamma(1.0 + 1.0 / k) - hi)
 
 
-def _check_order(N: int, theta: float, cap: float = math.inf) -> None:
-    # The expansions hold for 1 <= N <= ceil(theta) (and <= k+1 for the
-    # multidimensional positive variant); N = 1 is always accepted since
-    # the corresponding error scale X^{k theta} is trivially valid.
+def _is_float(x) -> bool:
+    """Whether the rational x rounds to a finite float: |x| < 2^1024 - 2^970."""
+    x = Fraction(x)
+    return abs(x.numerator) < x.denominator * (2**1024 - 2**970)
+
+
+def _log(x) -> float:  # of a rational x > 0 of any size
+    x = Fraction(x)
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def _asymptotic_floats(spec: LatticeSumSpec, variant: str,
+                       cap: float = math.inf) -> Tuple[float, float]:
+    """X and X^(k theta) as floats, once the variant holds at k, N is in
+    [1, ceil(theta)] (and <= cap; N = 1 always) and no float the asymptotics
+    form can pass the largest: 2X, q, each r/q of the positive variant,
+    X^(k theta) (2X/q + 1)^l, which bounds each main term, the error scale
+    X^(k theta) (q/X)^(N-1) (1 + X/q)^(l-1) and its factor (q/X)^(N-1)."""
+    q, k, theta, N, Xf = spec.q, spec.k, spec.theta, spec.N, Fraction(spec.X)
+    _check_variant(variant)
+    if variant == "positive" and k % 2 == 0:
+        raise ValueError("positive-variant asymptotics require odd k")
     limit = max(1, min(math.ceil(theta), cap))
     if not 1 <= N <= limit:
         raise ValueError(f"order N={N} outside the valid range [1, {limit}]")
+    rs = spec.residues if variant == "positive" else ()
+    if not all(map(_is_float, [2 * Xf, q, *(Fraction(r, q) for r in rs)])):
+        raise ValueError(f"X={spec.X}, q={q} or r={spec.r} gives 2X, q or r/q past the "
+                         "largest float")
+    lx, lq, l = _log(Xf), math.log(q), len(spec.residues)
+    power, shrink = k * (theta * lx), (N - 1) * (lq - lx)  # logs of X^(k theta), (q/X)^(N-1)
+    if max(power + l * (_log(2 * Xf + q) - lq), shrink,
+           power + shrink + (l - 1) * (_log(Xf + q) - lq)) >= _LOG_MAX:
+        raise ValueError(f"theta={theta} and N={N} at k={k}, q={q} and X={spec.X} give main "
+                         "terms or an error scale past the largest float")
+    X = float(Xf)
+    return X, X ** (k * theta)
 
 
 def progression_power_sum_asymptotic(
@@ -135,16 +168,12 @@ def progression_power_sum_asymptotic(
             * B_{nu k + 1}({-r/q}) * (q/X)^{k nu}.
     The true error is O(error_scale) = O(X^{k theta} (q/X)^{N-1}).
     """
-    _check_variant(variant)
     r, q, k, theta, N = _scalar_residue(spec), spec.q, spec.k, spec.theta, spec.N
     if variant == "two_sided":
         (main,), error_scale = lattice_power_sum_asymptotic(spec, variant)
         return main, 0.0, error_scale
-    if k % 2 == 0:
-        raise ValueError("positive-variant asymptotics require odd k")
-    _check_order(N, theta)
-    X = float(spec.X)
-    xkt = X ** (k * theta)
+    X, xkt = _asymptotic_floats(spec, variant)
+    ratio = _gamma_ratio(theta, k)  # refuses a large theta before N sets the loop's length
     psi = 0.0
     for nu in range((N - 1) // k + 1):
         psi += (
@@ -153,7 +182,7 @@ def progression_power_sum_asymptotic(
             * periodic_bernoulli(nu * k + 1, -r / q)
             * (q / X) ** (k * nu)
         )
-    return xkt * X / q * _gamma_ratio(theta, k), xkt * psi, xkt * (q / X) ** (N - 1)
+    return xkt * X / q * ratio, xkt * psi, xkt * (q / X) ** (N - 1)
 
 
 def _powers(fb: np.ndarray, theta: float) -> np.ndarray:
@@ -165,6 +194,42 @@ def _powers(fb: np.ndarray, theta: float) -> np.ndarray:
         with np.errstate(over="ignore"):  # ExactSum refuses an infinite term
             return fb * np.sqrt(fb)
     return np.array([b**theta for b in fb.tolist()], dtype=np.float64)
+
+
+def _window(lo: int, hi: int, r: int, q: int) -> range:
+    """The x = r mod q with lo <= x <= hi: the one start rule of every window."""
+    return range(lo + (r - lo) % q, hi + 1, q)
+
+
+def _lattice_parts(specs: Sequence[LatticeSumSpec], variant: str) -> list:
+    """The budget parts of the sums of specs: the product of the coordinates'
+    first windows (a bound where later ones shrink), priced by _powers' rule.
+    Refuses a largest base X^k - sum x_i^k, or (2X/q + 1)^l terms of it to
+    the theta, past the largest float."""
+    _check_variant(variant)
+    points = {}
+    for spec in specs:
+        q, k, Xf, P = spec.q, spec.k, Fraction(spec.X), math.floor(spec.X)
+        windows = [_window(1 if variant == "positive" else -P, P, r, q) for r in spec.residues]
+        # x^k is least at a window's first x, and below 0 only for odd k
+        if k * (P.bit_length() - 1) >= 1024 or not _is_float(
+                base := Xf**k + sum(max(-w.start, 0) ** k for w in windows if k % 2)):
+            raise ValueError(f"X={spec.X} at k={k} gives a base X^k - sum x_i^k past the "
+                             "largest float")
+        if spec.theta * _log(base) + len(windows) * (_log(2 * Xf + q) - math.log(q)) >= _LOG_MAX:
+            raise ValueError(f"theta={spec.theta} is too large for k={k} at X={spec.X}: the "
+                             "direct sum could pass the largest float")
+        name = "lattice points at theta 3/2" if spec.theta == 1.5 else "lattice points"
+        points[name] = points.get(name, 0) + math.prod((w.stop - w.start + q - 1) // q
+                                                       for w in windows)
+    return [Part(name, n, f"{_named('X', [s.X for s in specs])} at "
+                          f"{_named('q', [s.q for s in specs])}: {n} lattice points")
+            for name, n in points.items()]
+
+
+def _named(name: str, vs: list) -> str:
+    many = f"{len(vs)} values of {name} up to {max(vs)}"
+    return f"{name}={vs[0]}" if len(set(vs)) == 1 else many
 
 
 def lattice_power_sum(spec: LatticeSumSpec, variant: str = "two_sided") -> float:
@@ -185,7 +250,7 @@ def lattice_power_sum(spec: LatticeSumSpec, variant: str = "two_sided") -> float
     bit, with one block held at a time.  Cost grows as (X/q)^l; meant for
     desk-scale l <= 3.
     """
-    _check_variant(variant)
+    check(*_lattice_parts([spec], variant))
     rs = spec.residues
     q, k, theta, l = spec.q, spec.k, spec.theta, len(rs)
     Xf = Fraction(spec.X)
@@ -215,7 +280,7 @@ def lattice_power_sum(spec: LatticeSumSpec, variant: str = "two_sided") -> float
             budget = math.floor(remaining)
             root = integer_kth_root(budget, k) if budget >= 1 else 0
             lo, hi = max(lower, -root), min(P, root)
-        xs = range(lo + (rs[depth] - lo) % q, hi + 1, q)
+        xs = _window(lo, hi, rs[depth], q)
         if depth == l - 1:
             leaf(remaining, xs)
             return
@@ -235,14 +300,9 @@ def lattice_power_sum_asymptotic(
     positive (odd k): terms m = 0..l, the m-th carrying the symmetric
     Bernoulli value of order m and a factor (X/q)^(l-m).
     """
-    _check_variant(variant)
     rs = spec.residues
     q, k, theta, N, l = spec.q, spec.k, spec.theta, spec.N, len(rs)
-    if variant == "positive" and k % 2 == 0:
-        raise ValueError("positive-variant asymptotics require odd k")
-    _check_order(N, theta, cap=k + 1 if variant == "positive" else math.inf)
-    X = float(spec.X)
-    xkt = X ** (k * theta)
+    X, xkt = _asymptotic_floats(spec, variant, k + 1 if variant == "positive" else math.inf)
     error_scale = xkt * (q / X) ** (N - 1) * (1.0 + X / q) ** (l - 1)
     if variant == "two_sided":
         return ((2.0 * X / q) ** l * xkt * _gamma_ratio(theta, k, l),), error_scale

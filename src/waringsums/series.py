@@ -292,6 +292,17 @@ def power_moment_sum(lo: float, hi: float, u: int, theta: float, k: int) -> floa
         raise ValueError("need 1 <= lo < hi < inf")
     if u < 1:
         raise ValueError("u must be a positive integer")
+    # Charged: each q and each divisor a sieve block tries, and each residue
+    # of the local rows, about rows(x) below x: the coset sums of every prime
+    # at k >= 3 (those with d >= 3 are O(p)) and the DFT rows of the p^e,
+    # e >= 2.  A window of width w builds the rows below w, and per q about
+    # twice the mean share of the rows below top.
+    first, top = math.ceil(lo), math.ceil(hi)  # one sieve factors every q of the range
+    w, inputs = top - first, f"q in [{first}, {top}) at k={k}"
+    rows = [(x * x // 2 * (k > 2) + 2 * x * math.isqrt(x)) // max(1, int(math.log(x + 1)))
+            for x in (top, w)]
+    check(Part("moment moduli", w + math.isqrt(top), inputs),
+          Part("moment residues", min(rows[0], rows[1] + 2 * w * rows[0] // top), inputs))
     local = {}  # f(p^e) by p^e, built once per call
 
     def factor(p: int, pe: int) -> float:
@@ -299,9 +310,8 @@ def power_moment_sum(lo: float, hi: float, u: int, theta: float, k: int) -> floa
             local[pe] = _local_moment(p, pe, k, u)
         return local[pe]
 
-    first = math.ceil(lo)  # one sieve factors every q of the range
     return math.fsum(q**theta * math.prod(factor(p, pe) for p, pe in parts)
-                     for q, parts in enumerate(prime_power_parts(first, math.ceil(hi)), first))
+                     for q, parts in enumerate(prime_power_parts(first, top), first))
 
 
 def negation_identity_residual(s: int, n: int, Q: int, k: int) -> float:

@@ -205,6 +205,9 @@ class TestWalkValidation:
         "thm14 --k 3 --s 8 --Q , --trunc 40",
         "em-verify --k 2 --theta 1.5 --q 11 --r 3 --X ,",
         "series --k 3 --s 9 --n-min 10 --n-max 5 --Q 10",
+        # point and range mode at once
+        "series --k 3 --s 9 --n 5 --n-min 1 --n-max 3 --Q 10",
+        "series --k 3 --s 9 --n 5 --n-max 3 --Q 10",
         # the default Q = floor(n^(1/3)) has 134 digits
         pytest.param(f"series --k 3 --s 9 --n {10**400}", id="series --n 10**400"),
         # 1559! has 4301 digits, more than the default int-to-str limit
@@ -239,7 +242,7 @@ class TestWalkValidation:
 
     @pytest.mark.parametrize("argv, named", [
         ("expansion --k 0 --s 13 --J 2 --n 5 --Q 10", "error: k must be >= 2, got 0"),
-        ("em-verify --k 2 --theta 1e308 --q 11 --r 1 --X 100", "error: --theta 1e+308 "),
+        ("em-verify --k 2 --theta 1e308 --q 11 --r 1 --X 100", "error: theta=1e+308 "),
         pytest.param(f"series --k 3 --s {10**400} --n 5 --Q 10",
                      "error: s must be below 2^63", id="series --s 10**400"),
         pytest.param(f"expansion --k 3 --s {2**63} --J 2 --n 5 --Q 10",
@@ -291,7 +294,7 @@ class TestWalkValidation:
                                         "--q 3000000000"),
         ("expsum --k 3 --q 3000000000 --a 1", "for --q 3000000000"),
         ("em-verify --k 2 --theta 0.5 --q 1 --r 0 --X 500000000",
-         "for --X 500000000 at --q 1: 1000000001 lattice points"),
+         "for X=500000000 at q=1: 1000000001 lattice points"),
         ("oracle --k 2 --s 9 --n-max 10000000", "count additions (126 s, 0 bytes) for k=2, "
                                                 "s=9, N=10000000"),
         ("residuals --k 2 --s 1001 --J 1000 --n-max 10 --Q 32768",
@@ -388,6 +391,20 @@ class TestWalkValidation:
         assert cli.run(f"thm14 --k 3 --s 8 --Q {10**400} --trunc 10".split()) == 2
         out, err = capsys.readouterr()
         assert out == "" and "Q=" in err
+
+    def test_thm14_charges_the_digits_of_n_with_no_digit_limit(self, monkeypatch, capsys):
+        factorial = math.factorial
+
+        def bounded(x):
+            if x > 10**4:
+                raise AssertionError(f"factorial({x}) was built")
+            return factorial(x)
+
+        monkeypatch.setattr(math, "factorial", bounded)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert cli.run("thm14 --k 3 --s 8 --Q 5,10000000 --trunc 10".split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "digit pairs" in err and "--Q 5,10000000" in err
 
     def test_config_C_must_be_finite(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ from conftest import (direct_lattice_power_sum, direct_progression_power_sum,
                       loglog_slope, rule_power)
 from waringsums import arith, eulermac
 from waringsums.eulermac import LatticeSumSpec
+from waringsums.series import integer_kth_root
 
 
 def brute_progression(q, r, X, theta, k, variant):
@@ -423,6 +426,68 @@ class TestLatticeSums:
             eulermac.lattice_power_sum_asymptotic(
                 LatticeSumSpec(3, (1, 2), 100, 9.5, 3, N=5), "positive"
             )  # N must stay <= k + 1
+
+
+# Each input em-verify refuses before its direct sum, as library calls: the
+# functions named are refused with ValueError before any term is formed.
+_MAX_CUBE_ROOT = integer_kth_root(int(sys.float_info.max), 3)
+_DIRECT = ("lattice_power_sum",)
+_ASYMPTOTICS = ("progression_power_sum_asymptotic", "lattice_power_sum_asymptotic")
+
+
+@pytest.mark.parametrize("spec, variant, refused", [
+    (LatticeSumSpec(1, 0, 40000000, 1.5, 3, N=5), "two_sided", _ASYMPTOTICS),
+    (LatticeSumSpec(1, 0, 40000000, 1.5, 2), "positive", _ASYMPTOTICS),
+    (LatticeSumSpec(7, 10**400, 100, 1.5, 3), "positive", _ASYMPTOTICS),
+    (LatticeSumSpec(_MAX_CUBE_ROOT, 0, _MAX_CUBE_ROOT, 0.0, 3), "two_sided", _DIRECT),
+    (LatticeSumSpec(10**200, 0, 1, 3.0, 2, N=3), "two_sided", _ASYMPTOTICS),
+    (LatticeSumSpec(11, 1, 100, 1e308, 2), "two_sided", _DIRECT + _ASYMPTOTICS),
+    (LatticeSumSpec(11, 1, 10**4, 100.0, 2), "two_sided", _DIRECT + _ASYMPTOTICS),
+], ids=["N=5", "positive even k", "r=10**400", "2X^3", "q=10**200 N=3", "theta=1e308",
+        "theta=100"])
+def test_library_calls_are_refused_before_any_term(monkeypatch, spec, variant, refused):
+    def powers(*args):
+        raise AssertionError("a term was formed")
+
+    monkeypatch.setattr(eulermac, "_powers", powers)
+    for name in refused:
+        with pytest.raises(ValueError):
+            getattr(eulermac, name)(spec, variant)
+
+
+class TestLatticeParts:
+    def test_large_three_dimensional_sum_is_refused_at_once(self, monkeypatch):
+        monkeypatch.setattr(eulermac, "ExactSum", None)  # no block is summed
+        start = time.process_time()
+        with pytest.raises(ValueError, match=r"for X=10000 at q=1: 8001200060001 lattice "
+                                             r"points$"):
+            eulermac.lattice_power_sum(LatticeSumSpec(1, (0, 0, 0), 10**4, 1.5, 2))
+        assert time.process_time() - start < 1.0
+
+    def test_a_list_is_charged_the_sum_of_its_points(self):
+        specs = [LatticeSumSpec(3, (1, 2), 40, 1.5, 3), LatticeSumSpec(5, (0, 4), 37, 1.5, 3),
+                 LatticeSumSpec(7, 3, 100, 0.5, 2)]
+        for variant in eulermac.VARIANTS:
+            lower = {spec: 1 if variant == "positive" else -math.floor(spec.X)
+                     for spec in specs}
+            points = [math.prod(len([x for x in range(lower[spec], spec.X + 1)
+                                     if (x - r) % spec.q == 0]) for r in spec.residues)
+                      for spec in specs]
+            parts = eulermac._lattice_parts(specs, variant)
+            assert [(p.name, p.units) for p in parts] == [
+                ("lattice points at theta 3/2", points[0] + points[1]),
+                ("lattice points", points[2])]
+            # each part names the whole list, and its own points
+            assert parts[0].inputs == (f"3 values of X up to 100 at 3 values of q up to 7: "
+                                       f"{points[0] + points[1]} lattice points")
+
+    @pytest.mark.parametrize("variant", eulermac.VARIANTS)
+    def test_two_and_three_dimensional_sums_still_run(self, variant):
+        for spec in (LatticeSumSpec(1, (0, 0), 200, 2.0, 2),
+                     LatticeSumSpec(400_009, (5, 7), 1_600_000, 1.5, 3),
+                     LatticeSumSpec(1, (0, 0, 0), 60, 1.5, 3)):
+            got = eulermac.lattice_power_sum(spec, variant)
+            assert got.hex() == direct_lattice_power_sum(spec, variant).hex()
 
 
 class TestSymmetricBernoulli:

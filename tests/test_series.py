@@ -447,6 +447,33 @@ class TestPowerMomentSum:
         with pytest.raises(ValueError):
             series.power_moment_sum(5, 3, 8, 0.0, 2)
 
+    def test_large_range_is_refused_before_any_modulus(self, monkeypatch):
+        def work(*args):
+            raise AssertionError("the work began")
+
+        monkeypatch.setattr(series, "prime_power_parts", work)
+        monkeypatch.setattr(series, "_local_moment", work)
+        with pytest.raises(ValueError, match=r"moment residues .* for q in \[1, 1000000000\) "
+                                             r"at k=2$"):
+            series.power_moment_sum(1, 10**9, 8, 0.0, 2)
+
+    @pytest.mark.parametrize("lo, hi, k", [(3072, 5120, 2), (3072, 5120, 3), (1, 3000, 3),
+                                           (1, 3000, 4), (10**5, 10**5 + 40, 2),
+                                           (2 * 10**4, 2 * 10**4 + 40, 3), (2.5, 99.2, 5)])
+    def test_charge_is_within_4x_of_the_row_residues(self, monkeypatch, lo, hi, k):
+        # an O(p) coset row at each prime with d = gcd(k, p - 1) >= 3, a DFT
+        # row at each higher prime power, and O(1) at every other prime
+        parts, built = spy(monkeypatch, "check"), []
+        local = series._local_moment
+        monkeypatch.setattr(series, "_local_moment", lambda p, pe, k, u: built.append(
+            pe if pe > p or math.gcd(k, p - 1) >= 3 else 0) or local(p, pe, k, u))
+        series.power_moment_sum(lo, hi, 8, 0.0, k)
+        (args, _), = parts
+        charged = {part.name: part.units for part in args}
+        first, top = math.ceil(lo), math.ceil(hi)  # each q, and one sieve block's divisors
+        assert charged["moment moduli"] == top - first + math.isqrt(top)
+        assert sum(built) / 4 <= charged["moment residues"] <= 4 * sum(built)
+
 
 class TestMomentFactors:
     def test_moment_rows_are_multiplicative(self):
